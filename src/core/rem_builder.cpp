@@ -6,8 +6,7 @@
 #include "exec/parallel.hpp"
 #include "ml/kriging.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 
 namespace remgen::core {
@@ -15,14 +14,13 @@ namespace remgen::core {
 RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estimator,
                               const geom::Aabb& volume, const RemBuilderConfig& config) {
   REMGEN_EXPECTS(!dataset.empty());
-  obs::Span build_span("rem.build");
-  REMGEN_PROFILE_PHASE("rem.build");
+  obs::Scope build_scope("core.build_rem");
   const data::Dataset prepared =
       dataset.filter_min_samples_per_mac(config.min_samples_per_mac);
   REMGEN_EXPECTS(!prepared.empty());
 
   {
-    REMGEN_PROFILE_PHASE("rem.fit");
+    REMGEN_SCOPE("ml.fit");
     estimator.fit(prepared.samples());
   }
 
@@ -65,7 +63,7 @@ RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estim
   const std::size_t nx = g.nx();
   const std::size_t ny = g.ny();
   {
-    REMGEN_PROFILE_PHASE("rem.voxel_sweep");
+    REMGEN_SCOPE("core.sweep");
     const double est_slab_us = static_cast<double>(nx * ny) * 4.0;
     exec::parallel_for(
         macs.size() * nz,
@@ -105,13 +103,13 @@ RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estim
             }
           }
         },
-        exec::chunk_for_cost(macs.size() * nz, est_slab_us), "rem.voxel_sweep");
+        exec::chunk_for_cost(macs.size() * nz, est_slab_us), "core.sweep");
   }
 
   REMGEN_COUNTER_ADD("rem.builds", 1);
   REMGEN_COUNTER_ADD("rem.voxels_predicted", macs.size() * g.nx() * g.ny() * g.nz());
-  build_span.arg("macs", macs.size());
-  build_span.arg("voxels", g.nx() * g.ny() * g.nz());
+  build_scope.arg("macs", macs.size());
+  build_scope.arg("voxels", g.nx() * g.ny() * g.nz());
   return rem;
 }
 

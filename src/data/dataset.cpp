@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "data/sample_io.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/fmt.hpp"
@@ -57,6 +58,7 @@ std::map<int, std::size_t> Dataset::samples_per_uav() const {
 }
 
 Dataset Dataset::filter_min_samples_per_mac(std::size_t min_samples, std::size_t* dropped) const {
+  REMGEN_SCOPE("data.filter");
   const auto counts = samples_per_mac();
   Dataset out;
   std::size_t dropped_count = 0;

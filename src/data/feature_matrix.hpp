@@ -55,8 +55,9 @@ class FeatureMatrix {
 
   /// Reads a matrix previously written by save().
   [[nodiscard]] static FeatureMatrix load(util::BinaryReader& r) {
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
+    // Bounded like a grid: rows, then columns of `rows` f64s each.
+    const std::size_t rows = r.count(8);
+    const std::size_t cols = r.count(rows * 8);
     FeatureMatrix m(rows, cols);
     for (double& v : m.values_) v = r.f64();
     return m;

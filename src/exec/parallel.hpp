@@ -3,8 +3,8 @@
 // parallel_for / parallel_map are drop-in replacements for plain loops with
 // one contract: the result must not depend on the execution schedule. Bodies
 // write only to index-addressed slots (parallel_map enforces this shape), so
-// running at exec::thread_count() == 1 — a literal in-order loop on the
-// calling thread — produces byte-identical output to any other width.
+// running at exec::thread_count() == 1 — the chunks in order on the calling
+// thread — produces byte-identical output to any other width.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 
 #include "exec/config.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/profile.hpp"
 
 namespace remgen::exec {
 
@@ -53,35 +52,21 @@ inline std::size_t default_chunk(std::size_t n, std::size_t contexts) {
 /// Runs `body(i)` for every i in [0, n). Chunks of `chunk` consecutive
 /// indices are claimed atomically by the pool's workers plus the calling
 /// thread; `chunk == 0` picks a size automatically. With thread_count() == 1
-/// (or inside an enclosing parallel region) this is a plain sequential loop.
-/// The first exception thrown by any iteration is rethrown on the caller.
-/// `label` names the region in task traces and the Amdahl breakdown.
+/// the chunks run in order on the calling thread, and inside an enclosing
+/// parallel region the whole range runs inline. The first exception thrown
+/// by any iteration is rethrown on the caller. `label` names the region in
+/// task traces.
 template <typename Body>
 void parallel_for(std::size_t n, Body&& body, std::size_t chunk = 0,
                   const char* label = "exec.region") {
   if (n == 0) return;
-  ThreadPool* pool = shared_pool();
-  if (pool == nullptr || ThreadPool::in_parallel_region()) {
-    // Sequential fallback. Top-level loops still report themselves as
-    // parallelizable work, so the Amdahl serial fraction measured at
-    // --threads 1 matches what a wider run could exploit. Nested loops
-    // (inside a region) are already covered by the enclosing region.
-    const bool report =
-        obs::profiling_enabled() && !ThreadPool::in_parallel_region();
-    const std::uint64_t t0 = report ? obs::wall_clock_us() : 0;
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    if (report) {
-      const std::uint64_t wall = obs::wall_clock_us() - t0;
-      obs::note_parallel_region(wall, wall, 1);
-    }
-    return;
-  }
-  if (chunk == 0) chunk = detail::default_chunk(n, pool->worker_count() + 1);
+  ThreadPool& pool = region_pool();
+  if (chunk == 0) chunk = detail::default_chunk(n, pool.worker_count() + 1);
   const std::function<void(std::size_t, std::size_t)> run =
       [&body](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) body(i);
       };
-  pool->run_chunked(n, chunk, run, label);
+  pool.run_chunked(n, chunk, run, label);
 }
 
 /// Computes `fn(i)` for every i in [0, n) and returns the results in index

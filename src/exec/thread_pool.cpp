@@ -3,6 +3,7 @@
 #include "exec/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
@@ -70,17 +71,15 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
 
 void ThreadPool::drain(Region& region) {
   t_in_region = true;
-  // Workers adopt the submitting thread's open phase path, so phases entered
-  // inside the chunk body aggregate under the same ancestors at any width.
-  const obs::ProfileContext profile_context(&region.profile_path);
+  // Run the chunks under the submitter's scope, so scopes opened in the body
+  // nest under the same ancestors in both sinks at any width.
+  const obs::Frame* const own_frame = obs::adopt_frame(region.scope);
   while (true) {
     const std::size_t c = region.next_chunk.fetch_add(1, std::memory_order_relaxed);
     if (c >= region.total_chunks) break;
     const std::size_t begin = c * region.chunk;
     const std::size_t end = std::min(begin + region.chunk, region.n);
-    const bool traced = obs::enabled();
-    const bool timed = traced || obs::profiling_enabled();
-    const std::uint64_t t0 = timed ? obs::wall_clock_us() : 0;
+    const std::uint64_t t0 = region.timed ? obs::wall_clock_us() : 0;
     try {
       // Skip the body once a sibling chunk failed; the region still drains
       // so completion accounting stays exact.
@@ -90,37 +89,34 @@ void ThreadPool::drain(Region& region) {
       const std::lock_guard<std::mutex> lock(region.error_mutex);
       if (!region.error) region.error = std::current_exception();
     }
-    if (timed) {
+    if (region.timed) {
+      // One task-trace event per executed chunk, into this thread's
+      // lock-free buffer: queue wait (enqueue -> start), execution time, and
+      // the idle gap since this thread's previous chunk in the same region.
       const std::uint64_t t1 = obs::wall_clock_us();
       region.busy_us.fetch_add(t1 - t0, std::memory_order_relaxed);
-      if (traced) {
-        // One task-trace event per executed chunk, into this thread's
-        // lock-free buffer: queue wait (enqueue -> start), execution time,
-        // and the idle gap since this thread's previous chunk in the same
-        // region.
-        obs::TaskEvent event;
-        event.label = region.label;
-        event.region_id = region.id;
-        event.chunk_index = static_cast<std::uint32_t>(c);
-        event.worker = t_worker_index;
-        event.tid = obs::current_tid();
-        event.enqueue_us = region.enqueue_us;
-        event.start_us = t0;
-        event.end_us = t1;
-        event.wait_us = t0 > region.enqueue_us ? t0 - region.enqueue_us : 0;
-        if (t_idle.region_id == region.id && t0 > t_idle.last_end_us) {
-          event.idle_us = t0 - t_idle.last_end_us;
-        }
-        t_idle.region_id = region.id;
-        t_idle.last_end_us = t1;
-        REMGEN_HISTOGRAM_OBSERVE("exec.task_wait_us", event.wait_us,
-                                 {10, 100, 1000, 10000, 100000});
-        REMGEN_HISTOGRAM_OBSERVE("exec.chunk_exec_us", t1 - t0,
-                                 {10, 100, 1000, 10000, 100000, 1000000});
-        REMGEN_HISTOGRAM_OBSERVE("exec.worker_idle_us", event.idle_us,
-                                 {10, 100, 1000, 10000, 100000});
-        obs::record_task_event(std::move(event));
+      obs::TaskEvent event;
+      event.label = region.label;
+      event.region_id = region.id;
+      event.chunk_index = static_cast<std::uint32_t>(c);
+      event.worker = t_worker_index;
+      event.tid = obs::current_tid();
+      event.enqueue_us = region.enqueue_us;
+      event.start_us = t0;
+      event.end_us = t1;
+      event.wait_us = t0 > region.enqueue_us ? t0 - region.enqueue_us : 0;
+      if (t_idle.region_id == region.id && t0 > t_idle.last_end_us) {
+        event.idle_us = t0 - t_idle.last_end_us;
       }
+      t_idle.region_id = region.id;
+      t_idle.last_end_us = t1;
+      REMGEN_HISTOGRAM_OBSERVE("exec.task_wait_us", event.wait_us,
+                               {10, 100, 1000, 10000, 100000});
+      REMGEN_HISTOGRAM_OBSERVE("exec.chunk_exec_us", t1 - t0,
+                               {10, 100, 1000, 10000, 100000, 1000000});
+      REMGEN_HISTOGRAM_OBSERVE("exec.worker_idle_us", event.idle_us,
+                               {10, 100, 1000, 10000, 100000});
+      obs::record_task_event(std::move(event));
     }
     REMGEN_COUNTER_ADD("exec.tasks", 1);
     if (region.done_chunks.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -131,6 +127,7 @@ void ThreadPool::drain(Region& region) {
       done_cv_.notify_all();
     }
   }
+  obs::adopt_frame(own_frame);
   t_in_region = false;
 }
 
@@ -155,21 +152,19 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunk,
   region->body = &body;
   region->label = label;
   region->id = next_region_id();
-  if (obs::enabled() || obs::profiling_enabled()) {
-    region->enqueue_us = obs::wall_clock_us();
-  }
-  if (obs::profiling_enabled()) {
-    region->profile_path = obs::current_phase_path();
-  }
+  region->timed = obs::detail::gates() != 0;
+  region->enqueue_us = region->timed ? obs::wall_clock_us() : 0;
+  // Captured before the region's own scope: chunk bodies nest under the
+  // caller's scope, beside "exec.parallel_for".
+  region->scope = obs::current_frame();
 
-  obs::Span span("exec.parallel_for", "exec");
-  span.arg("n", n);
-  span.arg("chunks", region->total_chunks);
-  span.arg("workers", workers_.size());
+  obs::Scope scope("exec.parallel_for");
+  scope.arg("label", label);
+  scope.arg("n", n);
+  scope.arg("chunks", region->total_chunks);
+  scope.arg("workers", workers_.size());
   REMGEN_COUNTER_ADD("exec.regions", 1);
   REMGEN_GAUGE_SET("exec.queue_depth", region->total_chunks);
-  const bool timed = obs::enabled() || obs::profiling_enabled();
-  const std::uint64_t region_t0 = timed ? obs::wall_clock_us() : 0;
 
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -190,8 +185,8 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunk,
   }
 
   REMGEN_GAUGE_SET("exec.queue_depth", 0);
-  if (timed) {
-    const std::uint64_t wall = obs::wall_clock_us() - region_t0;
+  if (region->timed) {
+    const std::uint64_t wall = obs::wall_clock_us() - region->enqueue_us;
     const std::size_t contexts = workers_.size() + 1;
     const std::uint64_t busy = region->busy_us.load(std::memory_order_relaxed);
     if (obs::enabled() && wall > 0) {
@@ -201,7 +196,7 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunk,
           .set(static_cast<double>(busy) /
                (static_cast<double>(wall) * static_cast<double>(contexts)));
     }
-    // Feeds the Amdahl report (no-op unless profiling is enabled).
+    // Feeds the Amdahl report (no-op unless profiling is on).
     obs::note_parallel_region(wall, busy, contexts);
   }
 
@@ -232,6 +227,13 @@ ThreadPool* shared_pool() {
     REMGEN_GAUGE_SET("exec.pool.workers", width - 1);
   }
   return pool.get();
+}
+
+ThreadPool& region_pool() {
+  if (ThreadPool* pool = shared_pool()) return *pool;
+  // Per thread, so width-1 callers on different threads never serialize.
+  thread_local ThreadPool inline_pool(0);
+  return inline_pool;
 }
 
 }  // namespace remgen::exec

@@ -11,6 +11,12 @@
 // Nested regions execute inline on the claiming thread (a worker re-entering
 // run_chunked would deadlock waiting for itself), which keeps nested
 // parallel_for calls correct, sequential, and deterministic.
+//
+// Every top-level region opens one "exec.parallel_for" scope and reports its
+// wall time to the Amdahl breakdown, and its chunks run under the scope the
+// submitter had open, on every execution context. A zero-worker pool does the
+// same on the calling thread alone, which is how width 1 keeps the profile
+// identical to wider runs.
 #pragma once
 
 #include <atomic>
@@ -21,9 +27,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
+
+namespace remgen::obs {
+struct Frame;
+}  // namespace remgen::obs
 
 namespace remgen::exec {
 
@@ -65,8 +74,9 @@ class ThreadPool {
     const std::function<void(std::size_t, std::size_t)>* body = nullptr;
     const char* label = "exec.region";      ///< Task-trace name.
     std::uint64_t id = 0;                   ///< Process-wide region sequence.
+    bool timed = false;                     ///< An obs gate was on at submission.
     std::uint64_t enqueue_us = 0;           ///< Submission time (task waits).
-    std::vector<std::string> profile_path;  ///< Submitter's open phases.
+    const obs::Frame* scope = nullptr;      ///< Submitter's scope; workers adopt it.
     std::atomic<std::size_t> next_chunk{0};
     std::atomic<std::size_t> done_chunks{0};
     std::atomic<std::uint64_t> busy_us{0};  ///< Summed chunk execution time.
@@ -93,7 +103,11 @@ class ThreadPool {
 
 /// The process-wide pool, lazily (re)created to exec::thread_count() - 1
 /// workers (the calling thread is the remaining execution context). Returns
-/// nullptr when thread_count() == 1 — callers fall back to plain loops.
+/// nullptr when thread_count() == 1.
 [[nodiscard]] ThreadPool* shared_pool();
+
+/// The pool parallel_for runs on: shared_pool(), or at width 1 the calling
+/// thread's own zero-worker pool.
+[[nodiscard]] ThreadPool& region_pool();
 
 }  // namespace remgen::exec

@@ -7,8 +7,7 @@
 
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "serve/engine.hpp"
 #include "store/delta.hpp"
 #include "util/fmt.hpp"
@@ -76,8 +75,7 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
     return std::nullopt;
   }
 
-  REMGEN_SPAN("ingest.epoch");
-  REMGEN_PROFILE_PHASE("ingest.epoch");
+  REMGEN_SCOPE("ingest.epoch");
   info.epoch = ++epoch_;
   info.rows = prepared.size();
 

@@ -6,6 +6,7 @@
 
 #include "flightlog/flightlog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
@@ -156,9 +157,9 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
   }
 
   obs::set_sim_time(uav.now());
-  obs::Span mission_span("campaign.uav_mission");
-  mission_span.arg("uav", uav.id());
-  mission_span.arg("waypoints", waypoints.size());
+  obs::Scope mission_scope("mission.uav_mission");
+  mission_scope.arg("uav", uav.id());
+  mission_scope.arg("waypoints", waypoints.size());
 
   const double mission_start = uav.now();
   const std::size_t scans_before = uav.completed_scans();
@@ -169,7 +170,7 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
   geom::Vec3 hover = uav.estimated_position();
   hover.z = config_.takeoff_height_m;
   {
-    REMGEN_SPAN("mission.takeoff");
+    REMGEN_SCOPE("mission.takeoff");
     fly_phase(uav, hover, config_.takeoff_time_s, out);
   }
 
@@ -186,9 +187,9 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
     const geom::Vec3& wp = waypoints[i];
     ++stats.waypoints_commanded;
 
-    obs::Span wp_span("campaign.waypoint");
-    wp_span.arg("uav", uav.id());
-    wp_span.arg("index", i);
+    obs::Scope waypoint_scope("mission.waypoint");
+    waypoint_scope.arg("uav", uav.id());
+    waypoint_scope.arg("index", i);
 
     // (ii) fly to the waypoint. With adaptive timing the leg duration comes
     // from the actual leg length; the paper's fixed 4 s otherwise.
@@ -198,7 +199,7 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
       fly_time = config_.leg_timing.fly_time_s(from.distance_to(wp));
     }
     {
-      REMGEN_SPAN("mission.fly_leg");
+      REMGEN_SCOPE("mission.fly_leg");
       fly_phase(uav, wp, fly_time, out);
     }
     REMGEN_FLIGHTLOG_AT(flightlog::EventKind::WaypointArrive, uav.now(),
@@ -206,9 +207,9 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
 
     int attempts_used = 0;
     for (int attempt = 0; attempt <= config_.scan_retries; ++attempt) {
-      obs::Span scan_span("campaign.scan");
-      scan_span.arg("waypoint", i);
-      scan_span.arg("attempt", attempt);
+      obs::Scope scan_scope("mission.scan");
+      scan_scope.arg("waypoint", i);
+      scan_scope.arg("attempt", attempt);
       ++attempts_used;
 
       // Exponential backoff between attempts: a stalled or faulted deck needs
@@ -297,7 +298,7 @@ UavMissionStats BaseStation::run_mission(uav::Crazyflie& uav,
   }
 
   // Land and shut down.
-  REMGEN_SPAN("mission.land");
+  REMGEN_SCOPE("mission.land");
   const long long landing_ticks = phase_ticks(config_.landing_time_s);
   const long long setpoint_every = ticks_per_setpoint();
   long long landed_ticks = 0;

@@ -9,8 +9,7 @@
 #include "exec/parallel.hpp"
 #include "flightlog/flightlog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
@@ -73,9 +72,8 @@ CampaignResult run_campaign(const radio::Scenario& scenario, const CampaignConfi
   REMGEN_EXPECTS(config.uav_count > 0);
   REMGEN_EXPECTS(!config.receivers.empty());
   REMGEN_EXPECTS(config.rescue_rounds >= 0);
-  obs::Span campaign_span("campaign");
-  REMGEN_PROFILE_PHASE("campaign.run");
-  campaign_span.arg("uav_count", config.uav_count);
+  obs::Scope campaign_scope("mission.run_campaign");
+  campaign_scope.arg("uav_count", config.uav_count);
   CampaignResult result;
 
   // Distribute the campaign fault plan into the per-UAV component configs.
@@ -154,7 +152,7 @@ CampaignResult run_campaign(const radio::Scenario& scenario, const CampaignConfi
   // UAV, base station, and dataset, and writes only its own outcome slot.
   std::vector<MissionOutcome> outcomes;
   {
-    REMGEN_PROFILE_PHASE("campaign.missions");
+    REMGEN_SCOPE("mission.fly_missions");
     outcomes = exec::parallel_map(
         tasks.size(),
         [&](std::size_t t) {
@@ -204,10 +202,9 @@ CampaignResult run_campaign(const radio::Scenario& scenario, const CampaignConfi
     }
     if (open.empty()) break;
 
-    obs::Span rescue_span("campaign.rescue_round");
-    REMGEN_PROFILE_PHASE("campaign.rescue_round");
-    rescue_span.arg("round", round);
-    rescue_span.arg("open_waypoints", open.size());
+    obs::Scope rescue_scope("mission.rescue_round");
+    rescue_scope.arg("round", round);
+    rescue_scope.arg("open_waypoints", open.size());
     REMGEN_FLIGHTLOG_CAMPAIGN(flightlog::EventKind::RescueRound,
                               flightlog::CampaignEvent{round, open.size(), 0, 0, "rescue"});
     util::logf(util::LogLevel::Info, "campaign",

@@ -2,7 +2,7 @@
 
 #include <map>
 
-#include "obs/profile.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 
 namespace remgen::ml {
@@ -34,7 +34,7 @@ void MeanPerMacBaseline::predict_batch(std::span<const data::Sample> queries,
                                        std::span<double> out) const {
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.baseline.predict");
+  REMGEN_SCOPE("ml.baseline.predict");
   double mean = global_mean_;
   const radio::MacAddress* run_mac = nullptr;
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <map>
 
-#include "obs/profile.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 
@@ -38,7 +38,7 @@ void IdwRegressor::predict_batch(std::span<const data::Sample> queries,
                                  std::span<double> out) const {
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.idw.predict");
+  REMGEN_SCOPE("ml.idw.predict");
   constexpr double kExactEps = 1e-9;
 
   // Weight-exponent dispatch, classified once per batch. The common powers
@@ -145,10 +145,10 @@ void IdwRegressor::load(util::BinaryReader& r) {
   for (std::uint64_t i = 0; i < macs; ++i) {
     const radio::MacAddress mac = load_mac(r);
     MacData& d = per_mac_[mac];
-    const std::uint64_t n = r.u64();
+    const std::size_t n = r.count(4 * 8);  // x, y, z, value
     d.positions.resize(n);
     d.values.resize(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       d.positions[j].x = r.f64();
       d.positions[j].y = r.f64();
       d.positions[j].z = r.f64();

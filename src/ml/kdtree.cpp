@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/profile.hpp"
 #include "util/contracts.hpp"
 
 namespace remgen::ml {
@@ -76,7 +75,6 @@ void KdTree::search_knn(int node, const geom::Vec3& query, std::size_t k,
 std::size_t KdTree::nearest(const geom::Vec3& query, std::size_t k,
                             std::vector<KdHit>& scratch) const {
   REMGEN_EXPECTS(k > 0);
-  REMGEN_PROFILE_PHASE("ml.kdtree.nearest");
   scratch.clear();
   scratch.reserve(k + 1);
   search_knn(root_, query, k, scratch);

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 
 namespace remgen::ml {
@@ -54,7 +54,7 @@ void DynamicKdTree::rebuild() {
       current->pending->empty()) {
     return;  // Nothing new since the last build.
   }
-  REMGEN_SPAN("ml.kdtree_dynamic.rebuild");
+  REMGEN_SCOPE("ml.kdtree_dynamic.rebuild");
   // Build completely off to the side; readers keep querying the old
   // generation. Insertion order indexing makes tree hit indices global
   // stream positions with no remap table.

@@ -6,8 +6,7 @@
 
 #include "ml/distance.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 
@@ -89,7 +88,7 @@ void KnnRegressor::rebuild_row_keys() {
 
 void KnnRegressor::fit(std::span<const data::Sample> train) {
   REMGEN_EXPECTS(!train.empty());
-  REMGEN_SPAN("ml.knn.fit");
+  REMGEN_SCOPE("ml.knn.fit");
   REMGEN_COUNTER_ADD("ml.knn.fits", 1);
   encoder_ = data::FeatureEncoder::fit(train, config_.features);
   features_ = encoder_.encode_matrix(train);
@@ -129,7 +128,7 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
   REMGEN_EXPECTS(fitted_);
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.knn.predict");
+  REMGEN_SCOPE("ml.knn.predict");
   REMGEN_COUNTER_ADD("ml.knn.predicts", queries.size());
   const std::size_t k = std::min(config_.n_neighbors, features_.rows());
   // Distance weighting (scikit-learn semantics): an exact match dominates.

@@ -6,8 +6,7 @@
 
 #include "math/matrix.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 
@@ -58,7 +57,7 @@ KrigingRegressor::KrigingRegressor(const KrigingConfig& config) : config_(config
 
 void KrigingRegressor::fit(std::span<const data::Sample> train) {
   REMGEN_EXPECTS(!train.empty());
-  REMGEN_SPAN("ml.kriging.fit");
+  REMGEN_SCOPE("ml.kriging.fit");
   REMGEN_COUNTER_ADD("ml.kriging.fits", 1);
   fallback_.fit(train);
   models_.clear();
@@ -168,7 +167,7 @@ void KrigingRegressor::predict_with_sigma_batch(std::span<const data::Sample> qu
                                                 std::span<Prediction> out) const {
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.kriging.predict");
+  REMGEN_SCOPE("ml.kriging.predict");
   REMGEN_COUNTER_ADD("ml.kriging.predicts", queries.size());
   // Per-thread scratch keeps the dense-REM prediction loop allocation-free
   // and safe for concurrent callers; runs of equal-MAC queries (the sweep's
@@ -247,10 +246,10 @@ void KrigingRegressor::load(util::BinaryReader& r) {
     model.variogram.nugget = r.f64();
     model.variogram.partial_sill = r.f64();
     model.variogram.range_m = r.f64();
-    const std::uint64_t n = r.u64();
+    const std::size_t n = r.count(4 * 8);  // x, y, z, value
     model.positions.resize(n);
     model.values.resize(n);
-    for (std::uint64_t j = 0; j < n; ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       model.positions[j].x = r.f64();
       model.positions[j].y = r.f64();
       model.positions[j].z = r.f64();

@@ -3,8 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 
@@ -55,7 +54,7 @@ std::vector<double> NeuralNetRegressor::forward(
 
 void NeuralNetRegressor::fit(std::span<const data::Sample> train) {
   REMGEN_EXPECTS(!train.empty());
-  REMGEN_SPAN("ml.nn.fit");
+  REMGEN_SCOPE("ml.nn.fit");
   REMGEN_COUNTER_ADD("ml.nn.fits", 1);
   encoder_ = data::FeatureEncoder::fit(train, config_.features);
   const std::vector<std::vector<double>> features = encoder_.encode_all(train);
@@ -185,7 +184,7 @@ void NeuralNetRegressor::predict_batch(std::span<const data::Sample> queries,
   REMGEN_EXPECTS(fitted_);
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.nn.predict");
+  REMGEN_SCOPE("ml.nn.predict");
   REMGEN_COUNTER_ADD("ml.nn.predicts", queries.size());
   // Ping-pong layer buffers, per-thread: the whole batch runs without a
   // single heap allocation once the buffers are warm. The accumulation order
@@ -236,7 +235,7 @@ void NeuralNetRegressor::save(util::BinaryWriter& w) const {
 }
 
 void NeuralNetRegressor::load(util::BinaryReader& r) {
-  config_.hidden_layers.resize(r.u64());
+  config_.hidden_layers.resize(r.count(8));
   for (std::size_t& h : config_.hidden_layers) h = r.u64();
   config_.activation = static_cast<Activation>(r.u8());
   config_.learning_rate = r.f64();
@@ -250,10 +249,11 @@ void NeuralNetRegressor::load(util::BinaryReader& r) {
   encoder_ = data::FeatureEncoder::load(r);
   target_scaler_ = data::TargetScaler::load(r);
   final_loss_ = r.f64();
-  layers_.resize(r.u64());
+  layers_.resize(r.count(2 * 8 + 1));
   for (Layer& layer : layers_) {
-    layer.in = r.u64();
-    layer.out = r.u64();
+    // Each output carries `in` weights and a bias, all f64.
+    layer.in = r.count(8);
+    layer.out = r.count((layer.in + 1) * 8);
     layer.linear = r.u8() != 0;
     layer.w.resize(layer.in * layer.out);
     for (double& v : layer.w) v = r.f64();

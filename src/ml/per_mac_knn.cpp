@@ -4,8 +4,7 @@
 
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/fmt.hpp"
 
@@ -23,7 +22,7 @@ PerMacKnn::PerMacKnn(const KnnConfig& config) : config_(config) {
 
 void PerMacKnn::fit(std::span<const data::Sample> train) {
   REMGEN_EXPECTS(!train.empty());
-  REMGEN_SPAN("ml.per_mac_knn.fit");
+  REMGEN_SCOPE("ml.per_mac_knn.fit");
   REMGEN_COUNTER_ADD("ml.per_mac_knn.fits", 1);
   fallback_.fit(train);
 
@@ -67,7 +66,7 @@ void PerMacKnn::predict_batch(std::span<const data::Sample> queries,
                               std::span<double> out) const {
   REMGEN_EXPECTS(queries.size() == out.size());
   if (queries.empty()) return;
-  REMGEN_PROFILE_PHASE("ml.per_mac_knn.predict");
+  REMGEN_SCOPE("ml.per_mac_knn.predict");
   REMGEN_COUNTER_ADD("ml.per_mac_knn.predicts", queries.size());
   // Chop the batch into maximal runs of equal MAC and hand each run to the
   // owning model's batched kernel in one call.

@@ -45,7 +45,7 @@ std::unique_ptr<Estimator> load_model(util::BinaryReader& r) {
 }
 
 void save_mac(util::BinaryWriter& w, const radio::MacAddress& mac) {
-  w.bytes(mac.octets().data(), 6);
+  w.bytes(mac.octets().data(), kMacBytes);
 }
 
 radio::MacAddress load_mac(util::BinaryReader& r) {

@@ -43,6 +43,7 @@ void save_model(util::BinaryWriter& w, const Estimator& model);
 [[nodiscard]] std::unique_ptr<Estimator> load_model(util::BinaryReader& r);
 
 /// Snapshot encoding of a MAC address (6 octets, network order).
+inline constexpr std::size_t kMacBytes = 6;
 void save_mac(util::BinaryWriter& w, const radio::MacAddress& mac);
 [[nodiscard]] radio::MacAddress load_mac(util::BinaryReader& r);
 

@@ -10,6 +10,7 @@
 #include <span>
 #include <string_view>
 
+#include "util/args.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 
@@ -150,86 +151,77 @@ void write_prometheus(std::ostream& out, const MetricsSnapshot& snapshot) {
   }
 }
 
-Json trace_to_json(const TraceExport& input) {
-  Json::Array events;
-  events.reserve(input.spans.size() + input.tasks.size() + input.thread_names.size());
+namespace {
+
+std::string json_number(double value) { return Json(value).dump(); }
+
+void append_span_event(std::string& out, const SpanRecord& r) {
+  out += "{\"name\":" + json_escape(r.name);
+  out += ",\"cat\":" + json_escape(std::string_view(r.name).substr(0, r.name.find('.')));
+  out += ",\"ph\":\"";
+  out += r.phase;
+  out += "\",\"pid\":1,\"tid\":" + std::to_string(r.tid);
+  out += ",\"ts\":" + std::to_string(r.start_us);
+  // 'X' is a complete span, 'i' a thread-scoped instant.
+  out += r.phase == 'X' ? ",\"dur\":" + std::to_string(r.dur_us) : std::string(",\"s\":\"t\"");
+  out += ",\"args\":{\"span_id\":" + std::to_string(r.id);
+  if (r.parent_id != 0) out += ",\"parent_id\":" + std::to_string(r.parent_id);
+  out += ",\"depth\":" + std::to_string(r.depth);
+  out += ",\"sim_start_s\":" + json_number(r.sim_start_s);
+  if (r.phase == 'X') {
+    out += ",\"sim_end_s\":" + json_number(r.sim_end_s);
+    out += ",\"sim_dur_s\":" + json_number(r.sim_end_s - r.sim_start_s);
+  }
+  for (const auto& [key, value] : r.args) out += "," + json_escape(key) + ":" + json_escape(value);
+  out += "}}";
+}
+
+void append_task_event(std::string& out, const TaskEvent& t) {
+  out += "{\"name\":" + json_escape(t.label);
+  out += ",\"cat\":\"exec.task\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(t.tid);
+  out += ",\"ts\":" + std::to_string(t.start_us);
+  out += ",\"dur\":" + std::to_string(t.end_us - t.start_us);
+  out += ",\"args\":{\"region\":" + std::to_string(t.region_id);
+  out += ",\"chunk\":" + std::to_string(t.chunk_index);
+  out += ",\"worker\":" + std::to_string(t.worker);
+  out += ",\"wait_us\":" + std::to_string(t.wait_us);
+  out += ",\"idle_us\":" + std::to_string(t.idle_us) + "}}";
+}
+
+}  // namespace
+
+void write_chrome_trace(std::ostream& out, const TraceExport& input) {
+  // Written event by event rather than through a Json document: a trace
+  // holds one event per scope visit, and building the document for them
+  // cost about six times as much as writing the text.
+  std::string text = "{\"traceEvents\":[";
+  const auto next = [&text] { text += text.back() == '[' ? "\n" : ",\n"; };
   // thread_name metadata first: chrome://tracing applies it to the whole
   // document regardless of position, but leading with it keeps the file
   // human-skimmable.
   for (const auto& [tid, name] : input.thread_names) {
-    Json::Object event;
-    event["name"] = "thread_name";
-    event["ph"] = "M";
-    event["pid"] = 1;
-    event["tid"] = static_cast<std::uint64_t>(tid);
-    event["args"] = Json(Json::Object{{"name", Json(name)}});
-    events.push_back(Json(std::move(event)));
+    next();
+    text += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+            ",\"args\":{\"name\":" + json_escape(name) + "}}";
   }
   for (const SpanRecord& r : input.spans) {
-    Json::Object event;
-    event["name"] = r.name;
-    event["cat"] = r.category;
-    event["ph"] = std::string(1, r.phase);
-    event["pid"] = 1;
-    event["tid"] = static_cast<std::uint64_t>(r.tid);
-    event["ts"] = r.start_us;
-    if (r.phase == 'X') event["dur"] = r.dur_us;
-    if (r.phase == 'i') event["s"] = "t";  // thread-scoped instant
-    Json::Object args;
-    args["span_id"] = r.id;
-    if (r.parent_id != 0) args["parent_id"] = r.parent_id;
-    args["depth"] = static_cast<std::uint64_t>(r.depth);
-    args["sim_start_s"] = r.sim_start_s;
-    if (r.phase == 'X') {
-      args["sim_end_s"] = r.sim_end_s;
-      args["sim_dur_s"] = r.sim_end_s - r.sim_start_s;
-    }
-    for (const auto& [key, value] : r.args) args[key] = value;
-    event["args"] = Json(std::move(args));
-    events.push_back(Json(std::move(event)));
+    next();
+    append_span_event(text, r);
   }
   // Thread-pool chunks as per-thread lanes: each event renders on the lane
   // of the thread that executed it, alongside any spans that thread opened.
   for (const TaskEvent& t : input.tasks) {
-    Json::Object event;
-    event["name"] = t.label;
-    event["cat"] = "exec.task";
-    event["ph"] = "X";
-    event["pid"] = 1;
-    event["tid"] = static_cast<std::uint64_t>(t.tid);
-    event["ts"] = t.start_us;
-    event["dur"] = t.end_us - t.start_us;
-    Json::Object args;
-    args["region"] = t.region_id;
-    args["chunk"] = static_cast<std::uint64_t>(t.chunk_index);
-    args["worker"] = static_cast<std::uint64_t>(t.worker);
-    args["wait_us"] = t.wait_us;
-    args["idle_us"] = t.idle_us;
-    event["args"] = Json(std::move(args));
-    events.push_back(Json(std::move(event)));
+    next();
+    append_task_event(text, t);
   }
-  Json::Object root;
-  root["traceEvents"] = Json(std::move(events));
-  root["displayTimeUnit"] = "ms";
-  root["droppedSpans"] = input.dropped_spans;
-  Json::Object dropped_by_thread;
+  text += "\n],\"displayTimeUnit\":\"ms\",\"droppedSpans\":" + std::to_string(input.dropped_spans);
+  text += ",\"droppedSpansByThread\":{";
   for (const auto& [tid, count] : input.dropped_by_thread) {
-    dropped_by_thread[util::format("{}", tid)] = count;
+    if (text.back() != '{') text += ',';
+    text += "\"" + std::to_string(tid) + "\":" + std::to_string(count);
   }
-  root["droppedSpansByThread"] = Json(std::move(dropped_by_thread));
-  root["droppedTaskEvents"] = input.dropped_task_events;
-  return Json(std::move(root));
-}
-
-Json trace_to_json(std::span<const SpanRecord> records, std::uint64_t dropped_spans) {
-  TraceExport input;
-  input.spans = records;
-  input.dropped_spans = dropped_spans;
-  return trace_to_json(input);
-}
-
-void write_chrome_trace(std::ostream& out, const TraceExport& input) {
-  out << trace_to_json(input).dump(1) << '\n';
+  text += "},\"droppedTaskEvents\":" + std::to_string(input.dropped_task_events) + "}\n";
+  out << text;
 }
 
 void write_chrome_trace(std::ostream& out, std::span<const SpanRecord> records,
@@ -284,6 +276,53 @@ bool export_trace_file(const std::string& path) {
   return export_to_file(path, "trace", [&input](std::ostream& out) {
     write_chrome_trace(out, input);
   });
+}
+
+void start_telemetry(const util::Args& args, const TelemetryOptions& options) {
+  if (options.always_on || args.has("metrics-out") || args.has("metrics-prom") ||
+      args.has("trace-out")) {
+    if (options.announce && !compiled()) {
+      std::fprintf(stderr,
+                   "warning: telemetry was compiled out (-DREMGEN_OBS=OFF); "
+                   "exports will be empty\n");
+    }
+    set_enabled(true);
+  }
+  if (args.has("profile-out")) {
+    if (options.announce && !compiled()) {
+      std::fprintf(stderr,
+                   "warning: the profiler was compiled out (-DREMGEN_OBS=OFF); "
+                   "the profile will be empty\n");
+    }
+    set_profiling_enabled(true);
+  }
+  name_current_thread("main");
+}
+
+bool finish_telemetry(const util::Args& args, const TelemetryOptions& options) {
+  bool ok = true;
+  const auto report = [&](bool written, const std::string& message) {
+    if (!written) {
+      ok = false;
+    } else if (options.announce) {
+      std::printf("%s\n", message.c_str());
+    }
+  };
+  if (const std::string path = args.value("metrics-out"); !path.empty()) {
+    report(export_metrics_json_file(path), "metrics snapshot written to " + path);
+  }
+  if (const std::string path = args.value("metrics-prom"); !path.empty()) {
+    report(export_prometheus_file(path), "prometheus metrics written to " + path);
+  }
+  if (const std::string path = args.value("trace-out"); !path.empty()) {
+    report(export_trace_file(path),
+           util::format("chrome trace ({} events) written to {}", trace().size(), path));
+  }
+  if (const std::string path = args.value("profile-out"); !path.empty()) {
+    report(export_profile_json_file(path),
+           "profile written to " + path + " (inspect with remgen-profile)");
+  }
+  return ok;
 }
 
 }  // namespace remgen::obs

@@ -13,6 +13,10 @@
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
+namespace remgen::util {
+class Args;
+}  // namespace remgen::util
+
 namespace remgen::obs {
 
 /// Metrics snapshot as a JSON document:
@@ -42,14 +46,12 @@ struct TraceExport {
 /// Chrome trace_event JSON ({"traceEvents": [...], "droppedSpans": N,
 /// "droppedSpansByThread": {...}}); complete spans become "ph":"X" events and
 /// instants "ph":"i", with sim-clock bounds and span ids/parents carried in
-/// "args". Task events become "cat":"exec.task" X events on their executing
-/// thread's lane; thread names come out as "thread_name" metadata so lanes
-/// read as main / worker-N in chrome://tracing and Perfetto. The drop counts
-/// are surfaced in the document root so a trace that stops mid-run is
-/// distinguishable from a short run.
-[[nodiscard]] Json trace_to_json(const TraceExport& input);
-[[nodiscard]] Json trace_to_json(std::span<const SpanRecord> records,
-                                 std::uint64_t dropped_spans = 0);
+/// "args"; an event's "cat" is its name's module prefix ("store" for
+/// "store.load"). Task events become "cat":"exec.task" X events on their
+/// executing thread's lane; thread names come out as "thread_name" metadata
+/// so lanes read as main / worker-N in chrome://tracing and Perfetto. The
+/// drop counts are surfaced in the document root so a trace that stops
+/// mid-run is distinguishable from a short run.
 void write_chrome_trace(std::ostream& out, const TraceExport& input);
 void write_chrome_trace(std::ostream& out, std::span<const SpanRecord> records,
                         std::uint64_t dropped_spans = 0);
@@ -59,5 +61,21 @@ void write_chrome_trace(std::ostream& out, std::span<const SpanRecord> records,
 bool export_metrics_json_file(const std::string& path);
 bool export_prometheus_file(const std::string& path);
 bool export_trace_file(const std::string& path);
+
+/// How a tool's telemetry flags behave.
+struct TelemetryOptions {
+  bool always_on = false;  ///< Telemetry on without an export flag (daemons).
+  bool announce = false;   ///< Warn when compiled out; print each file written.
+};
+
+/// Switches the gates a tool's flags ask for: --metrics-out, --metrics-prom
+/// and --trace-out turn telemetry on, --profile-out turns profiling on. Also
+/// names the calling thread "main" for trace lanes.
+void start_telemetry(const util::Args& args, const TelemetryOptions& options = {});
+
+/// Writes every telemetry file the flags name. False when any could not be
+/// written, so the tool can exit nonzero instead of silently passing.
+[[nodiscard]] bool finish_telemetry(const util::Args& args,
+                                    const TelemetryOptions& options = {});
 
 }  // namespace remgen::obs

@@ -81,8 +81,10 @@ void Registry::reset() {
 }
 
 Registry& registry() {
-  static Registry instance;
-  return instance;
+  // Leaked: pool workers still starting up at process exit name themselves
+  // and record here after static destructors have run.
+  static Registry* instance = new Registry;
+  return *instance;
 }
 
 }  // namespace remgen::obs

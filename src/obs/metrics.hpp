@@ -9,9 +9,11 @@
 //  * compile time — configure with -DREMGEN_OBS=OFF to define
 //    REMGEN_OBS_DISABLED; `enabled()` becomes a constant `false` and every
 //    instrumentation site folds away;
-//  * run time — off by default, switched on with obs::set_enabled(true)
-//    (the CLI does this when --metrics-out/--trace-out is given). When off,
-//    an instrumentation site costs one relaxed load and a branch.
+//  * run time — two gates, off by default, packed into one atomic word:
+//    telemetry (metrics and trace spans; obs::set_enabled, switched on by
+//    --metrics-out/--metrics-prom/--trace-out) and profiling (the phase tree
+//    and Amdahl accounting; obs::set_profiling_enabled, --profile-out). When
+//    off, an instrumentation site costs one relaxed load and a branch.
 //
 // Registered metrics live for the lifetime of the process: references
 // returned by the registry are never invalidated (reset() zeroes values, it
@@ -30,22 +32,44 @@
 namespace remgen::obs {
 
 namespace detail {
-inline std::atomic<bool> g_enabled{false};
+inline constexpr unsigned kTelemetryGate = 1u;  ///< Metrics and trace spans.
+inline constexpr unsigned kProfilingGate = 2u;  ///< Phase tree and Amdahl.
+inline std::atomic<unsigned> g_gates{0};
 }  // namespace detail
 
 #if defined(REMGEN_OBS_DISABLED)
 /// True when instrumentation was compiled in (-DREMGEN_OBS=ON, the default).
 inline constexpr bool compiled() noexcept { return false; }
-/// Runtime master switch; constant false when compiled out.
-inline constexpr bool enabled() noexcept { return false; }
+namespace detail {
+inline constexpr unsigned gates() noexcept { return 0; }
+}  // namespace detail
 inline void set_enabled(bool) noexcept {}
+inline void set_profiling_enabled(bool) noexcept {}
 #else
 inline constexpr bool compiled() noexcept { return true; }
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
+namespace detail {
+/// Both runtime gates in one relaxed load: what obs::Scope tests.
+inline unsigned gates() noexcept { return g_gates.load(std::memory_order_relaxed); }
+}  // namespace detail
 inline void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
+  if (on) {
+    detail::g_gates.fetch_or(detail::kTelemetryGate, std::memory_order_relaxed);
+  } else {
+    detail::g_gates.fetch_and(~detail::kTelemetryGate, std::memory_order_relaxed);
+  }
 }
+/// Enabling (re)starts the profile wall-clock epoch; disabling freezes it.
+void set_profiling_enabled(bool on) noexcept;
 #endif
+
+/// Runtime telemetry switch (metrics and spans); constant false when
+/// compiled out.
+inline bool enabled() noexcept { return (detail::gates() & detail::kTelemetryGate) != 0; }
+/// Runtime profiling switch (phase tree and Amdahl); constant false when
+/// compiled out.
+inline bool profiling_enabled() noexcept {
+  return (detail::gates() & detail::kProfilingGate) != 0;
+}
 
 /// Monotonically increasing event count.
 class Counter {

@@ -1,6 +1,7 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <iomanip>
@@ -9,19 +10,34 @@
 #include <mutex>
 #include <ostream>
 
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 
 namespace remgen::obs {
 
-namespace {
+namespace detail {
 
-/// One node of a thread's phase tree. std::map keeps children name-sorted
-/// (deterministic merge order) and gives stable node addresses.
+/// One node of the phase tree. Every thread's scopes land in this one tree:
+/// the mutex guards `children` (a name-sorted map with stable node
+/// addresses, so the report comes out in deterministic order) and the
+/// counters are atomics.
 struct PhaseNode {
-  std::uint64_t count = 0;
-  std::uint64_t total_us = 0;
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::uint64_t> total_us{0};
+  std::mutex mutex;
   std::map<std::string, PhaseNode, std::less<>> children;
 };
+
+}  // namespace detail
+
+namespace {
+
+using detail::PhaseNode;
+
+PhaseNode& phase_root() {
+  static PhaseNode* root = new PhaseNode;  // leaked: outlives all threads
+  return *root;
+}
 
 constexpr std::size_t kTaskBufferCapacity = 1u << 14;
 
@@ -34,57 +50,26 @@ struct TaskBuffer {
   std::atomic<std::uint64_t> dropped{0};
 };
 
-/// Everything one thread records. The mutex guards the phase tree (owner
-/// writes on phase exit, the aggregator reads); the task buffer synchronises
-/// through its own atomics.
-struct ThreadTable {
+struct TaskRegistry {
   std::mutex mutex;
-  PhaseNode root;
-  TaskBuffer tasks;
+  std::vector<std::shared_ptr<TaskBuffer>> buffers;
 };
 
-struct ProfileRegistry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<ThreadTable>> tables;
-};
-
-ProfileRegistry& registry_instance() {
-  static ProfileRegistry* instance = new ProfileRegistry;  // leaked: outlives all threads
+TaskRegistry& task_registry() {
+  static TaskRegistry* instance = new TaskRegistry;  // leaked: outlives all threads
   return *instance;
 }
 
-struct Frame {
-  PhaseNode* node = nullptr;
-  const std::string* name = nullptr;  ///< Points at the map key (stable).
-  std::uint64_t start_us = 0;
-};
-
-/// Thread-local view: the shared table (also reachable by the aggregator)
-/// plus the open-phase stack only this thread touches.
-struct Local {
-  std::shared_ptr<ThreadTable> table;
-  std::vector<Frame> stack;
-
-  Local() : table(std::make_shared<ThreadTable>()) {
-    ProfileRegistry& reg = registry_instance();
+/// The calling thread's task buffer, registered on first use.
+TaskBuffer& local_tasks() {
+  thread_local const std::shared_ptr<TaskBuffer> buffer = [] {
+    auto created = std::make_shared<TaskBuffer>();
+    TaskRegistry& reg = task_registry();
     const std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.tables.push_back(table);
-  }
-};
-
-Local& local_state() {
-  thread_local Local local;
-  return local;
-}
-
-/// Finds or creates `name` under `parent`. Caller holds the table mutex.
-std::pair<PhaseNode*, const std::string*> child_node(PhaseNode& parent,
-                                                     std::string_view name) {
-  auto it = parent.children.find(name);
-  if (it == parent.children.end()) {
-    it = parent.children.emplace(std::string(name), PhaseNode{}).first;
-  }
-  return {&it->second, &it->first};
+    reg.buffers.push_back(created);
+    return created;
+  }();
+  return *buffer;
 }
 
 // Amdahl accumulators + the profiling wall-clock epoch.
@@ -95,120 +80,69 @@ std::atomic<std::size_t> g_contexts{1};
 std::atomic<std::uint64_t> g_epoch_us{0};
 std::atomic<std::uint64_t> g_frozen_us{0};  ///< End of epoch once disabled.
 
-void merge_node(PhaseNode& dst, const PhaseNode& src) {
-  dst.count += src.count;
-  dst.total_us += src.total_us;
-  for (const auto& [name, child] : src.children) {
-    merge_node(dst.children[name], child);
-  }
-}
-
-void emit_phases(const PhaseNode& node, const std::string& path, std::uint32_t depth,
-                 std::uint64_t parent_total_us, std::vector<PhaseStats>& out) {
-  for (const auto& [name, child] : node.children) {
+/// Appends `node`'s children depth-first (siblings sorted by name) and
+/// returns their summed inclusive time.
+std::uint64_t emit_phases(PhaseNode& node, const std::string& path, std::uint32_t depth,
+                          std::uint64_t parent_total_us, std::vector<PhaseStats>& out) {
+  std::uint64_t children_total = 0;
+  const std::lock_guard<std::mutex> lock(node.mutex);
+  for (auto& [name, child] : node.children) {
     PhaseStats stats;
     stats.path = path.empty() ? name : path + "/" + name;
     stats.name = name;
     stats.depth = depth;
-    stats.count = child.count;
-    stats.total_us = child.total_us;
-    std::uint64_t children_total = 0;
-    for (const auto& [child_name, grandchild] : child.children) {
-      (void)child_name;
-      children_total += grandchild.total_us;
-    }
-    stats.self_us = child.total_us > children_total ? child.total_us - children_total : 0;
+    stats.count = child.count.load(std::memory_order_relaxed);
+    stats.total_us = child.total_us.load(std::memory_order_relaxed);
     stats.percent_of_parent =
         parent_total_us > 0
-            ? 100.0 * static_cast<double>(child.total_us) / static_cast<double>(parent_total_us)
+            ? 100.0 * static_cast<double>(stats.total_us) / static_cast<double>(parent_total_us)
             : 0.0;
-    // Recurse with a copy: pushing grandchildren may reallocate `out`, so a
-    // reference into it would dangle.
+    children_total += stats.total_us;
+    // Recurse with a copy of the path and an index, not a reference: pushing
+    // grandchildren may reallocate `out`.
     const std::string child_path = stats.path;
+    const std::size_t row = out.size();
     out.push_back(std::move(stats));
-    emit_phases(child, child_path, depth + 1, child.total_us, out);
+    const std::uint64_t grandchildren = emit_phases(child, child_path, depth + 1,
+                                                    out[row].total_us, out);
+    // Clamped at 0: parallel children can overlap the parent's wall.
+    out[row].self_us = out[row].total_us > grandchildren ? out[row].total_us - grandchildren : 0;
   }
+  return children_total;
 }
 
 }  // namespace
 
 #if !defined(REMGEN_OBS_DISABLED)
 void set_profiling_enabled(bool on) noexcept {
-  const bool was = detail::g_profiling_enabled.exchange(on, std::memory_order_relaxed);
-  if (on && !was) {
+  const unsigned was =
+      on ? detail::g_gates.fetch_or(detail::kProfilingGate, std::memory_order_relaxed)
+         : detail::g_gates.fetch_and(~detail::kProfilingGate, std::memory_order_relaxed);
+  const bool was_on = (was & detail::kProfilingGate) != 0;
+  if (on && !was_on) {
     g_epoch_us.store(wall_clock_us(), std::memory_order_relaxed);
     g_frozen_us.store(0, std::memory_order_relaxed);
-  } else if (!on && was) {
+  } else if (!on && was_on) {
     g_frozen_us.store(wall_clock_us(), std::memory_order_relaxed);
   }
 }
 #endif
 
-ProfilePhase::ProfilePhase(std::string_view name) {
-  if (!profiling_enabled()) return;
-  active_ = true;
-  Local& local = local_state();
-  PhaseNode* parent = local.stack.empty() ? &local.table->root : local.stack.back().node;
-  Frame frame;
-  {
-    const std::lock_guard<std::mutex> lock(local.table->mutex);
-    const auto [node, key] = child_node(*parent, name);
-    frame.node = node;
-    frame.name = key;
-  }
-  frame.start_us = wall_clock_us();
-  local.stack.push_back(frame);
+PhaseNode* detail::phase_child(PhaseNode* parent, std::string_view name) {
+  PhaseNode& node = parent != nullptr ? *parent : phase_root();
+  const std::lock_guard<std::mutex> lock(node.mutex);
+  auto it = node.children.find(name);
+  if (it == node.children.end()) it = node.children.try_emplace(std::string(name)).first;
+  return &it->second;
 }
 
-ProfilePhase::~ProfilePhase() {
-  if (!active_) return;
-  Local& local = local_state();
-  const Frame frame = local.stack.back();
-  local.stack.pop_back();
-  const std::uint64_t dur = wall_clock_us() - frame.start_us;
-  const std::lock_guard<std::mutex> lock(local.table->mutex);
-  frame.node->count += 1;
-  frame.node->total_us += dur;
-}
-
-std::vector<std::string> current_phase_path() {
-  std::vector<std::string> path;
-  if (!profiling_enabled()) return path;
-  const Local& local = local_state();
-  path.reserve(local.stack.size());
-  for (const Frame& frame : local.stack) path.push_back(*frame.name);
-  return path;
-}
-
-ProfileContext::ProfileContext(const std::vector<std::string>* path) {
-  if (!profiling_enabled() || path == nullptr || path->empty()) return;
-  Local& local = local_state();
-  // The submitting thread drains its own region with the path already on its
-  // stack; adopting it again would double the nesting.
-  if (!local.stack.empty()) return;
-  const std::lock_guard<std::mutex> lock(local.table->mutex);
-  PhaseNode* parent = &local.table->root;
-  for (const std::string& name : *path) {
-    Frame frame;
-    const auto [node, key] = child_node(*parent, name);
-    frame.node = node;
-    frame.name = key;
-    local.stack.push_back(frame);
-    parent = node;
-    ++pushed_;
-  }
-}
-
-ProfileContext::~ProfileContext() {
-  if (pushed_ == 0) return;
-  Local& local = local_state();
-  // Context frames carry no timing of their own: the ancestors' wall time is
-  // measured once, on the thread that actually opened them.
-  local.stack.resize(local.stack.size() - static_cast<std::size_t>(pushed_));
+void detail::phase_exit(PhaseNode* node, std::uint64_t dur_us) noexcept {
+  node->count.fetch_add(1, std::memory_order_relaxed);
+  node->total_us.fetch_add(dur_us, std::memory_order_relaxed);
 }
 
 void record_task_event(TaskEvent event) {
-  TaskBuffer& buffer = local_state().table->tasks;
+  TaskBuffer& buffer = local_tasks();
   const std::size_t n = buffer.size.load(std::memory_order_relaxed);
   if (n >= buffer.events.size()) {
     buffer.dropped.fetch_add(1, std::memory_order_relaxed);
@@ -220,11 +154,11 @@ void record_task_event(TaskEvent event) {
 
 std::vector<TaskEvent> task_events_snapshot() {
   std::vector<TaskEvent> out;
-  ProfileRegistry& reg = registry_instance();
+  TaskRegistry& reg = task_registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const std::shared_ptr<ThreadTable>& table : reg.tables) {
-    const std::size_t n = table->tasks.size.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(table->tasks.events[i]);
+  for (const std::shared_ptr<TaskBuffer>& buffer : reg.buffers) {
+    const std::size_t n = buffer->size.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(buffer->events[i]);
   }
   std::sort(out.begin(), out.end(), [](const TaskEvent& a, const TaskEvent& b) {
     if (a.region_id != b.region_id) return a.region_id < b.region_id;
@@ -235,10 +169,10 @@ std::vector<TaskEvent> task_events_snapshot() {
 
 std::uint64_t task_events_dropped() {
   std::uint64_t dropped = 0;
-  ProfileRegistry& reg = registry_instance();
+  TaskRegistry& reg = task_registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const std::shared_ptr<ThreadTable>& table : reg.tables) {
-    dropped += table->tasks.dropped.load(std::memory_order_relaxed);
+  for (const std::shared_ptr<TaskBuffer>& buffer : reg.buffers) {
+    dropped += buffer->dropped.load(std::memory_order_relaxed);
   }
   return dropped;
 }
@@ -261,16 +195,12 @@ double AmdahlReport::speedup_at(std::size_t n) const {
 ProfileReport profile_report() {
   ProfileReport report;
 
-  PhaseNode merged;
   {
-    ProfileRegistry& reg = registry_instance();
+    TaskRegistry& reg = task_registry();
     const std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const std::shared_ptr<ThreadTable>& table : reg.tables) {
-      const std::lock_guard<std::mutex> table_lock(table->mutex);
-      merge_node(merged, table->root);
-      const std::size_t n = table->tasks.size.load(std::memory_order_acquire);
-      report.task_events += n;
-      report.task_events_dropped += table->tasks.dropped.load(std::memory_order_relaxed);
+    for (const std::shared_ptr<TaskBuffer>& buffer : reg.buffers) {
+      report.task_events += buffer->size.load(std::memory_order_acquire);
+      report.task_events_dropped += buffer->dropped.load(std::memory_order_relaxed);
     }
   }
 
@@ -292,13 +222,8 @@ ProfileReport profile_report() {
   report.amdahl.max_speedup =
       1.0 / std::max(report.amdahl.serial_fraction, 1e-9);
 
-  emit_phases(merged, "", 0, report.amdahl.total_wall_us, report.phases);
-
-  std::uint64_t root_total = 0;
-  for (const auto& [name, child] : merged.children) {
-    (void)name;
-    root_total += child.total_us;
-  }
+  const std::uint64_t root_total =
+      emit_phases(phase_root(), "", 0, report.amdahl.total_wall_us, report.phases);
   if (report.amdahl.total_wall_us > 0) {
     report.coverage =
         static_cast<double>(root_total) / static_cast<double>(report.amdahl.total_wall_us);
@@ -307,15 +232,16 @@ ProfileReport profile_report() {
 }
 
 void reset_profiling() {
-  ProfileRegistry& reg = registry_instance();
+  {
+    PhaseNode& root = phase_root();
+    const std::lock_guard<std::mutex> lock(root.mutex);
+    root.children.clear();
+  }
+  TaskRegistry& reg = task_registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const std::shared_ptr<ThreadTable>& table : reg.tables) {
-    const std::lock_guard<std::mutex> table_lock(table->mutex);
-    table->root.count = 0;
-    table->root.total_us = 0;
-    table->root.children.clear();
-    table->tasks.size.store(0, std::memory_order_relaxed);
-    table->tasks.dropped.store(0, std::memory_order_relaxed);
+  for (const std::shared_ptr<TaskBuffer>& buffer : reg.buffers) {
+    buffer->size.store(0, std::memory_order_relaxed);
+    buffer->dropped.store(0, std::memory_order_relaxed);
   }
   g_parallel_wall_us.store(0, std::memory_order_relaxed);
   g_parallel_busy_us.store(0, std::memory_order_relaxed);

@@ -1,17 +1,14 @@
-// Performance profiler: scoped phase accumulation, per-task execution
+// Performance profiler: the phase tree obs::Scope feeds, per-task execution
 // tracing, and an Amdahl (serial-fraction) breakdown.
 //
 // Three cooperating pieces, all opt-in at runtime:
 //
-//  * Phases — REMGEN_PROFILE_PHASE("rem.predict.knn") opens an RAII scope
-//    that accumulates count and inclusive wall time into a thread-local
-//    phase tree. Trees from every thread (pool workers included) merge by
-//    name into one deterministic report: sibling order is sorted, counts
-//    are schedule-independent, so the aggregated phase structure is
-//    identical at every --threads value (wall times are, of course, honest
-//    measurements and vary run to run). Pool workers adopt the submitting
-//    thread's open phase path, so a phase entered inside a parallel body
-//    lands under the same ancestors at any width.
+//  * Phases — with profiling on, every REMGEN_SCOPE (obs/scope.hpp) adds its
+//    count and inclusive wall time to one process-wide phase tree keyed by
+//    name path. Siblings are kept sorted and pool workers nest under the
+//    submitting thread's scope, so counts are schedule-independent and the
+//    phase structure is identical at every --threads value (wall times are,
+//    of course, honest measurements and vary run to run).
 //
 //  * Task trace — exec::ThreadPool records one TaskEvent per executed chunk
 //    (enqueue/start/end timestamps, worker id, region label) into lock-free
@@ -19,17 +16,15 @@
 //    size; the exporter is the only reader). Events compose with --trace-out
 //    as per-thread lanes in Chrome tracing.
 //
-//  * Amdahl accounting — every parallelizable region (a parallel_for, at any
-//    width, including the width-1 sequential fallback) reports its wall
-//    time; the report derives the measured serial fraction
+//  * Amdahl accounting — every top-level parallel region, at any width,
+//    reports its wall time; the report derives the measured serial fraction
 //    s = 1 - parallel_wall / total_wall and the implied max speedup 1/s.
 //
 // Like the metrics registry, everything is gated: compiled out entirely
-// under -DREMGEN_OBS=OFF, and a disabled phase costs one relaxed load and a
-// branch at runtime.
+// under -DREMGEN_OBS=OFF, and off at runtime unless obs::set_profiling_enabled
+// (metrics.hpp) or, for task events, either gate is on.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -38,60 +33,21 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace remgen::obs {
 
 namespace detail {
-inline std::atomic<bool> g_profiling_enabled{false};
+/// One node of the process-wide phase tree; defined in profile.cpp.
+struct PhaseNode;
+/// The child `name` of `parent` (null: the root), created on first use.
+[[nodiscard]] PhaseNode* phase_child(PhaseNode* parent, std::string_view name);
+/// Adds one completed visit of `dur_us` to `node`.
+void phase_exit(PhaseNode* node, std::uint64_t dur_us) noexcept;
 }  // namespace detail
-
-#if defined(REMGEN_OBS_DISABLED)
-inline constexpr bool profiling_enabled() noexcept { return false; }
-inline void set_profiling_enabled(bool) noexcept {}
-#else
-inline bool profiling_enabled() noexcept {
-  return detail::g_profiling_enabled.load(std::memory_order_relaxed);
-}
-/// Enabling (re)starts the profile wall-clock epoch; disabling freezes it.
-void set_profiling_enabled(bool on) noexcept;
-#endif
-
-/// RAII scoped phase. Inactive (one relaxed load + branch) when profiling is
-/// off at construction time.
-class ProfilePhase {
- public:
-  explicit ProfilePhase(std::string_view name);
-  ~ProfilePhase();
-  ProfilePhase(const ProfilePhase&) = delete;
-  ProfilePhase& operator=(const ProfilePhase&) = delete;
-
- private:
-  bool active_ = false;
-};
-
-/// The chain of open phase names on the calling thread, outermost first.
-/// Captured by exec::ThreadPool when a region is submitted so workers can
-/// adopt it.
-[[nodiscard]] std::vector<std::string> current_phase_path();
-
-/// Installs a phase path as context (no timing) for the current thread while
-/// in scope — a no-op when the thread already has open phases (the
-/// submitting thread draining its own region) or when profiling is off.
-class ProfileContext {
- public:
-  explicit ProfileContext(const std::vector<std::string>* path);
-  ~ProfileContext();
-  ProfileContext(const ProfileContext&) = delete;
-  ProfileContext& operator=(const ProfileContext&) = delete;
-
- private:
-  int pushed_ = 0;
-};
 
 /// One executed thread-pool chunk.
 struct TaskEvent {
-  std::string label;          ///< Region label ("rem.voxel_sweep", ...).
+  std::string label;          ///< Region label ("core.sweep", ...).
   std::uint64_t region_id = 0;
   std::uint32_t chunk_index = 0;
   std::uint32_t worker = 0;       ///< 0 = submitting thread, 1..N = pool worker.
@@ -122,7 +78,7 @@ void note_parallel_region(std::uint64_t wall_us, std::uint64_t busy_us,
 /// One row of the merged phase table, in depth-first order with siblings
 /// sorted by name.
 struct PhaseStats {
-  std::string path;   ///< "rem.build/rem.voxel_sweep/ml.knn.predict".
+  std::string path;   ///< "core.build_rem/core.sweep/ml.knn.predict".
   std::string name;   ///< Leaf component of `path`.
   std::uint32_t depth = 0;
   std::uint64_t count = 0;
@@ -156,13 +112,13 @@ struct ProfileReport {
   std::uint64_t task_events_dropped = 0;
 };
 
-/// Merges every thread's phase tree and task buffer into one report.
+/// The phase tree, task-buffer tallies and Amdahl breakdown as one report.
 /// Deterministic: phases come out in sorted depth-first order with
 /// schedule-independent counts. Call after parallel regions have drained.
 [[nodiscard]] ProfileReport profile_report();
 
-/// Clears phase trees, task buffers and Amdahl accumulators, and restarts
-/// the profile wall-clock epoch.
+/// Clears the phase tree, task buffers and Amdahl accumulators, and restarts
+/// the profile wall-clock epoch. Call with no scope open.
 void reset_profiling();
 
 /// JSON round-trip for --profile-out and the remgen-profile report tool.
@@ -176,7 +132,3 @@ void write_profile_table(std::ostream& out, const ProfileReport& report);
 bool export_profile_json_file(const std::string& path);
 
 }  // namespace remgen::obs
-
-/// Scoped profile phase covering the rest of the enclosing block.
-#define REMGEN_PROFILE_PHASE(name) \
-  ::remgen::obs::ProfilePhase REMGEN_OBS_CONCAT_(remgen_obs_phase_, __LINE__)(name)

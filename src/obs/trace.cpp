@@ -8,21 +8,10 @@ namespace remgen::obs {
 
 namespace {
 
-std::uint64_t next_span_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 std::uint32_t this_thread_tid() {
   static std::atomic<std::uint32_t> counter{0};
   thread_local const std::uint32_t tid = counter.fetch_add(1, std::memory_order_relaxed) + 1;
   return tid;
-}
-
-/// Per-thread stack of open span ids; RAII guarantees strict nesting.
-std::vector<std::uint64_t>& span_stack() {
-  thread_local std::vector<std::uint64_t> stack;
-  return stack;
 }
 
 }  // namespace
@@ -93,52 +82,10 @@ void TraceRecorder::clear() {
 }
 
 TraceRecorder& trace() {
-  static TraceRecorder instance;
-  return instance;
-}
-
-Span::Span(std::string_view name, std::string_view category) {
-  if (!enabled()) return;
-  active_ = true;
-  record_.name = std::string(name);
-  record_.category = std::string(category);
-  record_.start_us = wall_clock_us();
-  record_.sim_start_s = sim_time();
-  record_.tid = this_thread_tid();
-  record_.id = next_span_id();
-  std::vector<std::uint64_t>& stack = span_stack();
-  record_.parent_id = stack.empty() ? 0 : stack.back();
-  record_.depth = static_cast<std::uint32_t>(stack.size());
-  stack.push_back(record_.id);
-}
-
-Span::~Span() {
-  if (!active_) return;
-  span_stack().pop_back();
-  record_.dur_us = wall_clock_us() - record_.start_us;
-  record_.sim_end_s = sim_time();
-  trace().record(std::move(record_));
-}
-
-void Span::arg(std::string_view key, std::string_view value) {
-  if (!active_) return;
-  record_.args.emplace_back(std::string(key), std::string(value));
-}
-
-void instant(std::string_view name, std::string_view category) {
-  if (!enabled()) return;
-  SpanRecord record;
-  record.name = std::string(name);
-  record.category = std::string(category);
-  record.phase = 'i';
-  record.start_us = wall_clock_us();
-  record.sim_start_s = record.sim_end_s = sim_time();
-  record.tid = this_thread_tid();
-  record.id = next_span_id();
-  const std::vector<std::uint64_t>& stack = span_stack();
-  record.parent_id = stack.empty() ? 0 : stack.back();
-  record.depth = static_cast<std::uint32_t>(stack.size());
-  trace().record(std::move(record));
+  // Leaked: pool workers still starting up at process exit name themselves
+  // and record here after static destructors have run.
+  static TraceRecorder* instance = new TraceRecorder;
+  return *instance;
 }
 
 }  // namespace remgen::obs

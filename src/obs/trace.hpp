@@ -1,15 +1,9 @@
-// Scoped spans that nest into a trace tree.
-//
-// A Span is an RAII guard: construction captures wall-clock (microseconds on
-// the process-wide steady epoch) and the current simulated time (seconds, as
-// last published by obs::set_sim_time — the co-simulation loop publishes the
-// UAV clock every tick); destruction records the completed span into the
-// global TraceRecorder. A thread-local stack provides parent/child nesting,
-// so traces export directly as a tree in Chrome trace_event JSON
-// (chrome://tracing, Perfetto).
-//
-// Like the metrics registry, spans are runtime-gated by obs::enabled(): a
-// disabled span costs one relaxed load and a branch, and records nothing.
+// The trace buffer: completed spans from obs::Scope (see obs/scope.hpp) and
+// instant events, with wall-clock microseconds on the process-wide steady
+// epoch and the simulated time the co-simulation loop last published with
+// obs::set_sim_time (the UAV clock, every tick). Spans carry their id and
+// their parent's, so traces export directly as a tree in Chrome
+// trace_event JSON (chrome://tracing, Perfetto).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "util/fmt.hpp"
 
 namespace remgen::obs {
 
@@ -51,8 +44,7 @@ void name_current_thread(std::string_view name);
 
 /// One recorded trace event.
 struct SpanRecord {
-  std::string name;
-  std::string category = "remgen";
+  std::string name;  ///< `<module>.<op>`; the module is the export category.
   char phase = 'X';  ///< 'X' complete span, 'i' instant event.
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
@@ -95,35 +87,4 @@ class TraceRecorder {
 /// The process-wide trace buffer.
 [[nodiscard]] TraceRecorder& trace();
 
-/// RAII scoped span. Inactive (and free apart from the enabled() check) when
-/// telemetry is off at construction time.
-class Span {
- public:
-  explicit Span(std::string_view name, std::string_view category = "remgen");
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  /// Attaches a key/value pair exported under the Chrome-trace "args" object.
-  void arg(std::string_view key, std::string_view value);
-  template <typename T>
-  void arg(std::string_view key, const T& value) {
-    if (active_) arg(key, std::string_view(util::format("{}", value)));
-  }
-
- private:
-  bool active_ = false;
-  SpanRecord record_;
-};
-
-/// Records a zero-duration instant event (e.g. "crtp.radio_off").
-void instant(std::string_view name, std::string_view category = "remgen");
-
 }  // namespace remgen::obs
-
-#define REMGEN_OBS_CONCAT_INNER_(a, b) a##b
-#define REMGEN_OBS_CONCAT_(a, b) REMGEN_OBS_CONCAT_INNER_(a, b)
-
-/// Scoped span covering the rest of the enclosing block.
-#define REMGEN_SPAN(name) \
-  ::remgen::obs::Span REMGEN_OBS_CONCAT_(remgen_obs_span_, __LINE__)(name)

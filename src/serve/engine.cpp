@@ -11,8 +11,7 @@
 
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/fmt.hpp"
 
 namespace remgen::serve {
@@ -210,7 +209,7 @@ Response QueryEngine::execute_volume(const Request& request) const {
 }
 
 Response QueryEngine::execute(const Request& request) const {
-  REMGEN_PROFILE_PHASE("serve.execute");
+  REMGEN_SCOPE("serve.execute");
   REMGEN_COUNTER_ADD("serve.queries", 1);
   try {
     switch (request.type) {
@@ -230,8 +229,7 @@ Response QueryEngine::execute(const Request& request) const {
 }
 
 std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>& requests) const {
-  REMGEN_SPAN("serve.execute_coalesced");
-  REMGEN_PROFILE_PHASE("serve.execute_coalesced");
+  REMGEN_SCOPE("serve.execute_coalesced");
   // Work units: single-point queries naming a known MAC are grouped per MAC
   // and answered by ONE predict_many call (cache misses across the whole
   // group become one predict_batch); everything else — best-AP, batch,
@@ -291,8 +289,7 @@ std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>&
 }
 
 std::vector<Response> QueryEngine::execute_all(const std::vector<Request>& requests) const {
-  REMGEN_SPAN("serve.execute_all");
-  REMGEN_PROFILE_PHASE("serve.execute_all");
+  REMGEN_SCOPE("serve.execute_all");
   // Request execution costs tens of microseconds (cache hit) to a few
   // hundred (model misses) — the cost heuristic picks small chunks.
   std::vector<Response> responses = exec::parallel_map(
@@ -304,8 +301,7 @@ std::vector<Response> QueryEngine::execute_all(const std::vector<Request>& reque
 }
 
 ReplayStats QueryEngine::replay_jsonl(std::istream& in, std::ostream& out) const {
-  REMGEN_SPAN("serve.replay");
-  REMGEN_PROFILE_PHASE("serve.replay");
+  REMGEN_SCOPE("serve.replay");
   const auto start = std::chrono::steady_clock::now();
   // Snapshot the cache counters: ReplayStats reports THIS run's hits and
   // misses. The counters themselves are cumulative over the engine's

@@ -9,7 +9,7 @@
 
 #include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/binary_io.hpp"
 #include "util/fmt.hpp"
 
@@ -87,7 +87,7 @@ std::uint32_t dataset_payload_crc(const Snapshot& snapshot) {
 
 SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64_t base_epoch,
                          std::uint64_t epoch) {
-  REMGEN_SPAN("store.delta.make");
+  REMGEN_SCOPE("store.make_delta");
   SnapshotDelta delta;
   delta.base_epoch = base_epoch;
   delta.epoch = epoch;
@@ -152,7 +152,7 @@ SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64
 }
 
 Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
-  REMGEN_SPAN("store.delta.apply");
+  REMGEN_SCOPE("store.apply_delta");
   if (base.dataset.size() != delta.base_rows) {
     throw std::runtime_error(util::format("delta: base has {} rows, delta expects {}",
                                           base.dataset.size(), delta.base_rows));
@@ -235,7 +235,7 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
 }
 
 void save_delta(std::ostream& out, const SnapshotDelta& delta) {
-  REMGEN_SPAN("store.delta.save");
+  REMGEN_SCOPE("store.save_delta");
   util::BinaryWriter w;
   w.bytes(kDeltaMagic.data(), kDeltaMagic.size());
   w.u32(kDeltaVersion);
@@ -302,7 +302,7 @@ void save_delta(std::ostream& out, const SnapshotDelta& delta) {
 }
 
 SnapshotDelta load_delta(std::istream& in) {
-  REMGEN_SPAN("store.delta.load");
+  REMGEN_SCOPE("store.load_delta");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();
@@ -337,7 +337,7 @@ SnapshotDelta load_delta(std::istream& in) {
         delta.final_rows = section.u64();
         break;
       case DeltaSectionId::DatasetRows: {
-        delta.added_rows.resize(section.u64());
+        delta.added_rows.resize(section.count(8 + kSampleRowMinBytes));
         for (DeltaRow& row : delta.added_rows) {
           row.position = section.u64();
           row.sample = read_sample_row(section);
@@ -358,12 +358,12 @@ SnapshotDelta load_delta(std::istream& in) {
         patch.nx = section.u64();
         patch.ny = section.u64();
         patch.nz = section.u64();
-        patch.macs.resize(section.u64());
+        patch.macs.resize(section.count(ml::kMacBytes));
         for (radio::MacAddress& mac : patch.macs) mac = ml::load_mac(section);
-        patch.layers.resize(section.u64());
+        patch.layers.resize(section.count(ml::kMacBytes + 8));
         for (DeltaRemLayer& layer : patch.layers) {
           layer.mac = ml::load_mac(section);
-          layer.cells.resize(section.u64());
+          layer.cells.resize(section.count(16));
           for (core::RemCell& cell : layer.cells) {
             cell.rss_dbm = section.f64();
             cell.sigma_db = section.f64();

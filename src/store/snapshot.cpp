@@ -6,7 +6,7 @@
 
 #include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/scope.hpp"
 #include "util/binary_io.hpp"
 #include "util/fmt.hpp"
 
@@ -48,7 +48,7 @@ void write_dataset_payload(util::BinaryWriter& w, const data::Dataset& dataset) 
 namespace {
 
 data::Dataset read_dataset(util::BinaryReader& r) {
-  std::vector<data::Sample> samples(r.u64());
+  std::vector<data::Sample> samples(r.count(kSampleRowMinBytes));
   for (data::Sample& s : samples) s = read_sample_row(r);
   return data::Dataset(std::move(samples));
 }
@@ -87,10 +87,15 @@ core::RadioEnvironmentMap read_rem(util::BinaryReader& r) {
   bounds.max.x = r.f64();
   bounds.max.y = r.f64();
   bounds.max.z = r.f64();
-  const std::uint64_t nx = r.u64();
-  const std::uint64_t ny = r.u64();
-  const std::uint64_t nz = r.u64();
-  std::vector<radio::MacAddress> macs(r.u64());
+  // Each MAC carries nx·ny·nz cells of two f64s. Every axis is bounded by
+  // the cells it implies before anything is allocated, so the product
+  // cannot overflow.
+  constexpr std::size_t kCellBytes = 16;
+  const std::size_t nx = r.count(kCellBytes);
+  const std::size_t ny = r.count(nx * kCellBytes);
+  const std::size_t nz = r.count(nx * ny * kCellBytes);
+  if (nx == 0 || ny == 0 || nz == 0) throw std::runtime_error("snapshot: empty REM grid axis");
+  std::vector<radio::MacAddress> macs(r.count(ml::kMacBytes + nx * ny * nz * kCellBytes));
   for (radio::MacAddress& mac : macs) mac = ml::load_mac(r);
   core::RadioEnvironmentMap rem(geom::GridGeometry(bounds, nx, ny, nz), macs);
   for (const radio::MacAddress& mac : macs) {
@@ -118,7 +123,7 @@ void write_section(util::BinaryWriter& out, SectionId id, const util::BinaryWrit
 }  // namespace
 
 void save_snapshot(std::ostream& out, const Snapshot& snapshot) {
-  REMGEN_SPAN("store.snapshot.save");
+  REMGEN_SCOPE("store.save");
   util::BinaryWriter w;
   w.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
   w.u32(kSnapshotVersion);
@@ -151,7 +156,7 @@ void save_snapshot(std::ostream& out, const Snapshot& snapshot) {
 }
 
 Snapshot load_snapshot(std::istream& in) {
-  REMGEN_SPAN("store.snapshot.load");
+  REMGEN_SCOPE("store.load");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();

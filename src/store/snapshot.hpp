@@ -69,6 +69,9 @@ void save_snapshot_file(const std::string& path, const Snapshot& snapshot);
 
 /// The dataset row / section payload encodings, shared with the REMDELT1
 /// delta format (store/delta.hpp) so both formats stay bit-compatible.
+/// A row with an empty SSID: eight 8-byte fields, the 8-byte SSID length
+/// and a 6-byte MAC.
+inline constexpr std::size_t kSampleRowMinBytes = 9 * 8 + 6;
 void write_sample_row(util::BinaryWriter& w, const data::Sample& s);
 [[nodiscard]] data::Sample read_sample_row(util::BinaryReader& r);
 void write_dataset_payload(util::BinaryWriter& w, const data::Dataset& dataset);

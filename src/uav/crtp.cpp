@@ -2,6 +2,7 @@
 
 #include "flightlog/flightlog.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 
 namespace remgen::uav {
@@ -28,7 +29,7 @@ void CrtpLink::set_radio_enabled(bool enabled, double now_s) {
   radio_on_ = enabled;
   if (obs::enabled()) {
     obs::set_sim_time(now_s);
-    obs::instant(enabled ? "crtp.radio_on" : "crtp.radio_off", "crtp");
+    obs::instant(enabled ? "crtp.radio_on" : "crtp.radio_off");
     obs::registry().counter(enabled ? "crtp.radio_on_events" : "crtp.radio_off_events").add(1);
   }
   // Link down/up with the TX backlog at the toggle: at radio-on this is the

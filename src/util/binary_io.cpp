@@ -1,5 +1,6 @@
 #include "util/binary_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -89,6 +90,18 @@ std::string_view BinaryReader::view(std::size_t n) {
   const std::string_view out = data_.substr(pos_, n);
   pos_ += n;
   return out;
+}
+
+std::size_t BinaryReader::count(std::size_t min_element_bytes) {
+  const std::size_t at = pos_;
+  const std::uint64_t n = u64();
+  const std::size_t bound = remaining() / std::max<std::size_t>(min_element_bytes, 1);
+  if (n > bound) {
+    throw std::runtime_error(util::format("binary: count {} at offset {} exceeds the {} "
+                                          "elements the remaining {} bytes can hold",
+                                          n, at, bound, remaining()));
+  }
+  return static_cast<std::size_t>(n);
 }
 
 std::uint32_t crc32(std::string_view data) {

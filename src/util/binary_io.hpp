@@ -38,7 +38,8 @@ class BinaryWriter {
 
 /// Consumes little-endian fields from a byte view. Every read checks the
 /// remaining length and throws std::runtime_error("binary: truncated ...")
-/// on underflow.
+/// on underflow, and count() bounds element counts by the bytes left, so a
+/// crafted length field cannot request an allocation larger than the input.
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -53,6 +54,13 @@ class BinaryReader {
   void bytes(void* out, std::size_t n);
   /// A view of the next `n` bytes, consumed.
   [[nodiscard]] std::string_view view(std::size_t n);
+  /// Reads a u64 element count before a decoder sizes a container from it.
+  /// Throws std::runtime_error unless that many elements of at least
+  /// `min_element_bytes` each (taken as 1 when 0) fit in the remaining
+  /// input. The check divides, so it cannot overflow; a decoder bounds a
+  /// product of counts by passing the bytes one step of the outer count
+  /// implies ("nx * 16" for each y-row of 16-byte cells).
+  [[nodiscard]] std::size_t count(std::size_t min_element_bytes);
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }

@@ -1,10 +1,12 @@
-// Phase profiler: nesting and self-time math, deterministic aggregation at
-// 1 vs 4 threads, zero-overhead-when-disabled behaviour, task-trace event
-// ordering, Amdahl accounting, and the JSON round-trip.
+// Phase profiler fed by REMGEN_SCOPE: nesting and self-time math,
+// deterministic aggregation at 1 vs 4 threads, zero-overhead-when-disabled
+// behaviour, one scope feeding both sinks, task-trace event ordering,
+// Amdahl accounting, and the JSON round-trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -12,6 +14,8 @@
 #include "exec/parallel.hpp"
 #include "obs/export.hpp"
 #include "obs/profile.hpp"
+#include "obs/scope.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -51,10 +55,10 @@ const obs::PhaseStats* find_phase(const obs::ProfileReport& report, std::string_
 TEST_F(ObsProfileTest, PhasesNestAndAccumulate) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   {
-    REMGEN_PROFILE_PHASE("outer");
+    REMGEN_SCOPE("outer");
     spin_for_us(2000);
     for (int i = 0; i < 3; ++i) {
-      REMGEN_PROFILE_PHASE("inner");
+      REMGEN_SCOPE("inner");
       spin_for_us(1000);
     }
   }
@@ -80,10 +84,10 @@ TEST_F(ObsProfileTest, PhasesNestAndAccumulate) {
 TEST_F(ObsProfileTest, SiblingPhasesComeOutSorted) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   {
-    REMGEN_PROFILE_PHASE("root");
-    { REMGEN_PROFILE_PHASE("zeta"); }
-    { REMGEN_PROFILE_PHASE("alpha"); }
-    { REMGEN_PROFILE_PHASE("mid"); }
+    REMGEN_SCOPE("root");
+    { REMGEN_SCOPE("zeta"); }
+    { REMGEN_SCOPE("alpha"); }
+    { REMGEN_SCOPE("mid"); }
   }
   const obs::ProfileReport report = obs::profile_report();
   ASSERT_EQ(report.phases.size(), 4u);
@@ -99,9 +103,9 @@ TEST_F(ObsProfileTest, AggregationIsDeterministicAcrossThreadWidths) {
   // and the same counts; only the wall times may differ.
   const auto run = [] {
     obs::reset_profiling();
-    REMGEN_PROFILE_PHASE("work");
+    REMGEN_SCOPE("work");
     exec::parallel_for(
-        64, [](std::size_t) { REMGEN_PROFILE_PHASE("work.item"); }, /*chunk=*/1,
+        64, [](std::size_t) { REMGEN_SCOPE("work.item"); }, /*chunk=*/1,
         "work.items");
     return obs::profile_report();
   };
@@ -129,7 +133,7 @@ TEST_F(ObsProfileTest, DisabledPhasesRecordNothing) {
   obs::set_profiling_enabled(false);
   obs::reset_profiling();
   {
-    REMGEN_PROFILE_PHASE("ghost");
+    REMGEN_SCOPE("ghost");
     exec::parallel_for(8, [](std::size_t) {}, /*chunk=*/1, "ghost.items");
   }
   obs::set_profiling_enabled(true);  // report with a live epoch
@@ -142,19 +146,48 @@ TEST_F(ObsProfileTest, DisabledPhasesRecordNothing) {
 TEST_F(ObsProfileTest, DisabledPhaseIsCheap) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   obs::set_profiling_enabled(false);
-  // 1M disabled phase constructions must be a few ms at most: a relaxed load
+  // 1M disabled scope constructions must be a few ms at most: a relaxed load
   // and a branch each, no clock reads, no locks. Budget is generous (500 ms)
   // to stay robust on loaded CI machines while still catching an accidental
   // clock read or lock on the disabled path (those cost >1us each).
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 1'000'000; ++i) {
-    REMGEN_PROFILE_PHASE("noop");
+    REMGEN_SCOPE("noop");
   }
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
   obs::set_profiling_enabled(true);
   EXPECT_LT(ms, 500.0);
+}
+
+TEST_F(ObsProfileTest, OneScopeFeedsBothSinks) {
+  if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
+  obs::set_enabled(true);
+  obs::trace().clear();
+  exec::set_thread_count(4);
+  {
+    REMGEN_SCOPE("sinks.outer");
+    exec::parallel_for(
+        8, [](std::size_t) { REMGEN_SCOPE("sinks.item"); }, /*chunk=*/1, "sinks.items");
+  }
+  obs::set_enabled(false);
+
+  // Every phase in the profile is a span of the same name in the trace.
+  std::set<std::string> span_names;
+  for (const obs::SpanRecord& record : obs::trace().snapshot()) span_names.insert(record.name);
+  const obs::ProfileReport report = obs::profile_report();
+  ASSERT_FALSE(report.phases.empty());
+  for (const obs::PhaseStats& phase : report.phases) {
+    EXPECT_EQ(span_names.count(phase.name), 1u) << phase.path << " is not a span";
+  }
+  const obs::PhaseStats* outer = find_phase(report, "sinks.outer");
+  const obs::PhaseStats* items = find_phase(report, "sinks.outer/sinks.item");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(items, nullptr);
+  EXPECT_EQ(outer->count, 1u);
+  EXPECT_EQ(items->count, 8u);
+  obs::trace().clear();
 }
 
 TEST_F(ObsProfileTest, TaskEventsAreOrderedAndComplete) {
@@ -195,7 +228,9 @@ TEST_F(ObsProfileTest, TaskEventsRenderInChromeTrace) {
   const std::vector<obs::TaskEvent> tasks = obs::task_events_snapshot();
   input.tasks = tasks;
   input.thread_names = obs::trace().thread_names();
-  const obs::Json doc = obs::trace_to_json(input);
+  std::ostringstream out;
+  obs::write_chrome_trace(out, input);
+  const obs::Json doc = obs::Json::parse(out.str());
 
   std::size_t task_events = 0;
   std::size_t name_events = 0;
@@ -239,8 +274,8 @@ TEST_F(ObsProfileTest, AmdahlAccountsParallelRegionsAtAnyWidth) {
 TEST_F(ObsProfileTest, ReportRoundTripsThroughJson) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   {
-    REMGEN_PROFILE_PHASE("json.root");
-    REMGEN_PROFILE_PHASE("json.leaf");
+    REMGEN_SCOPE("json.root");
+    REMGEN_SCOPE("json.leaf");
     spin_for_us(200);
   }
   exec::set_thread_count(2);

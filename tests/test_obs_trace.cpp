@@ -1,13 +1,16 @@
-// Telemetry trace spans: nesting, simulated-vs-wall time capture, instant
-// events, runtime gating, and the Chrome trace_event exporter round-tripped
-// through the JSON parser.
+// Trace spans from obs::Scope: nesting (across pool workers too),
+// simulated-vs-wall time capture, instant events, runtime gating, and the
+// Chrome trace_event exporter round-tripped through the JSON parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
+#include "exec/config.hpp"
+#include "exec/parallel.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -34,9 +37,9 @@ const obs::SpanRecord* find_record(const std::vector<obs::SpanRecord>& records,
 TEST_F(ObsTraceTest, SpansNestIntoATree) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   {
-    obs::Span outer("outer");
+    obs::Scope outer("outer");
     {
-      obs::Span inner("inner");
+      obs::Scope inner("inner");
       obs::instant("ping");
     }
   }
@@ -61,11 +64,43 @@ TEST_F(ObsTraceTest, SpansNestIntoATree) {
   EXPECT_GE(outer->start_us + outer->dur_us, inner->start_us + inner->dur_us);
 }
 
+TEST_F(ObsTraceTest, WorkerScopesNestUnderTheSubmittingScope) {
+  if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
+  const std::size_t previous_threads = exec::thread_count();
+  exec::set_thread_count(4);
+  {
+    obs::Scope outer("outer");
+    exec::parallel_for(
+        16,
+        [](std::size_t) {
+          REMGEN_SCOPE("item");
+          // Long enough that pool workers, not only the caller, run chunks.
+          const std::uint64_t until = obs::wall_clock_us() + 1000;
+          while (obs::wall_clock_us() < until) {
+          }
+        },
+        /*chunk=*/1);
+  }
+  exec::set_thread_count(previous_threads);
+
+  const std::vector<obs::SpanRecord> records = obs::trace().snapshot();
+  const obs::SpanRecord* outer = find_record(records, "outer");
+  ASSERT_NE(outer, nullptr);
+  std::size_t items = 0;
+  for (const obs::SpanRecord& r : records) {
+    if (r.name != "item") continue;
+    ++items;
+    EXPECT_EQ(r.parent_id, outer->id) << "item on tid " << r.tid;
+    EXPECT_EQ(r.depth, outer->depth + 1);
+  }
+  EXPECT_EQ(items, 16u);
+}
+
 TEST_F(ObsTraceTest, SpansCaptureSimAndWallTime) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   obs::set_sim_time(10.0);
   {
-    obs::Span span("mission");
+    obs::Scope span("mission");
     obs::set_sim_time(14.5);  // the co-simulation loop advances the clock
   }
   const std::vector<obs::SpanRecord> records = obs::trace().snapshot();
@@ -79,7 +114,7 @@ TEST_F(ObsTraceTest, SpansCaptureSimAndWallTime) {
 TEST_F(ObsTraceTest, DisabledSpansRecordNothing) {
   obs::set_enabled(false);
   {
-    obs::Span span("invisible");
+    obs::Scope span("invisible");
     span.arg("key", "value");
     obs::instant("also-invisible");
   }
@@ -100,14 +135,14 @@ TEST_F(ObsTraceTest, ChromeTraceExportRoundTrips) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   obs::set_sim_time(3.0);
   {
-    obs::Span campaign("campaign");
+    obs::Scope campaign("campaign");
     campaign.arg("uav_count", 2);
     {
-      obs::Span mission("campaign.uav_mission");
+      obs::Scope mission("campaign.uav_mission");
       mission.arg("uav", 0);
       obs::set_sim_time(7.0);
     }
-    obs::instant("crtp.radio_off", "crtp");
+    obs::instant("crtp.radio_off");
   }
 
   std::ostringstream out;
@@ -155,7 +190,7 @@ TEST_F(ObsTraceTest, ChromeTraceExportRoundTrips) {
 TEST_F(ObsTraceTest, SpanArgsFormatValues) {
   if (!obs::compiled()) GTEST_SKIP() << "telemetry compiled out";
   {
-    obs::Span span("typed-args");
+    obs::Scope span("typed-args");
     span.arg("count", std::size_t{42});
     span.arg("ratio", 2.5);
     span.arg("label", "uav-a");

@@ -3,12 +3,14 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <vector>
 
 #include "core/rem_builder.hpp"
 #include "ml/model_zoo.hpp"
 #include "ml/serialize.hpp"
+#include "store/delta.hpp"
 #include "store/snapshot.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
@@ -290,6 +292,76 @@ TEST(StoreSnapshot, UnknownSectionWithBadCrcStillThrows) {
   bytes += extra.buffer();
   bytes[12] = static_cast<char>(bytes[12] + 1);
   EXPECT_THROW((void)load_bytes(bytes), std::runtime_error);
+}
+
+// --- Bounded decoders: a CRC-valid file whose length field claims more
+// --- elements than its bytes can hold is rejected before any allocation.
+
+constexpr std::uint64_t kInflatedCount = std::uint64_t{1} << 40;
+
+/// One CRC-valid section around `payload`, in a snapshot or delta container.
+std::string one_section_file(std::string_view magic, std::uint32_t id,
+                             const util::BinaryWriter& payload) {
+  util::BinaryWriter w;
+  w.bytes(magic.data(), magic.size());
+  w.u32(1);  // version
+  w.u32(1);  // section count
+  w.u32(id);
+  w.u64(payload.size());
+  w.u32(util::crc32(payload.buffer()));
+  w.bytes(payload.buffer().data(), payload.size());
+  return w.buffer();
+}
+
+void expect_count_rejected(const std::function<void()>& load) {
+  try {
+    load();
+    ADD_FAILURE() << "the inflated count was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("count"), std::string::npos) << e.what();
+  }
+}
+
+TEST(StoreSnapshot, InflatedSampleCountIsRejected) {
+  util::BinaryWriter payload;
+  payload.u64(kInflatedCount);
+  const std::string bytes =
+      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Dataset), payload);
+  expect_count_rejected([&] { (void)load_bytes(bytes); });
+}
+
+TEST(StoreSnapshot, InflatedRemGridIsRejected) {
+  // 2^20 x 2^20 x 2^10 cells per MAC: the product is checked axis by axis.
+  util::BinaryWriter payload;
+  for (int i = 0; i < 6; ++i) payload.f64(1.0);
+  payload.u64(std::uint64_t{1} << 20);
+  payload.u64(std::uint64_t{1} << 20);
+  payload.u64(std::uint64_t{1} << 10);
+  payload.u64(1);
+  ml::save_mac(payload, *radio::MacAddress::parse(kMacA));
+  const std::string bytes =
+      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Rem), payload);
+  expect_count_rejected([&] { (void)load_bytes(bytes); });
+}
+
+TEST(StoreSnapshot, InflatedNeuralNetLayerCountIsRejected) {
+  util::BinaryWriter payload;
+  payload.str("neural-net");
+  payload.u64(kInflatedCount);  // hidden layer sizes
+  const std::string bytes =
+      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Model), payload);
+  expect_count_rejected([&] { (void)load_bytes(bytes); });
+}
+
+TEST(StoreDelta, InflatedRowCountIsRejected) {
+  util::BinaryWriter payload;
+  payload.u64(kInflatedCount);
+  const std::string bytes = one_section_file(
+      kDeltaMagic, static_cast<std::uint32_t>(DeltaSectionId::DatasetRows), payload);
+  expect_count_rejected([&] {
+    std::istringstream in(bytes);
+    (void)load_delta(in);
+  });
 }
 
 }  // namespace

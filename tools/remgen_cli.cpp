@@ -29,6 +29,7 @@
 #include "ml/metrics.hpp"
 #include "ml/model_zoo.hpp"
 #include "obs/export.hpp"
+#include "obs/scope.hpp"
 #include "radio/scenario.hpp"
 #include "store/snapshot.hpp"
 #include "util/args.hpp"
@@ -410,43 +411,6 @@ int dispatch(const util::Args& args) {
   return usage();
 }
 
-/// Writes the requested telemetry sinks after the command has run. Returns
-/// false when any sink could not be written, so the process can exit nonzero
-/// and CI catches unwritable paths instead of silently passing.
-[[nodiscard]] bool export_telemetry(const util::Args& args) {
-  bool ok = true;
-  if (const std::string path = args.value("metrics-out"); !path.empty()) {
-    if (obs::export_metrics_json_file(path)) {
-      std::printf("metrics snapshot written to %s\n", path.c_str());
-    } else {
-      ok = false;
-    }
-  }
-  if (const std::string path = args.value("metrics-prom"); !path.empty()) {
-    if (obs::export_prometheus_file(path)) {
-      std::printf("prometheus metrics written to %s\n", path.c_str());
-    } else {
-      ok = false;
-    }
-  }
-  if (const std::string path = args.value("trace-out"); !path.empty()) {
-    if (obs::export_trace_file(path)) {
-      std::printf("chrome trace (%zu events) written to %s\n", obs::trace().size(),
-                  path.c_str());
-    } else {
-      ok = false;
-    }
-  }
-  if (const std::string path = args.value("profile-out"); !path.empty()) {
-    if (obs::export_profile_json_file(path)) {
-      std::printf("profile written to %s (inspect with remgen-profile)\n", path.c_str());
-    } else {
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -485,27 +449,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool telemetry = args->has("metrics-out") || args->has("metrics-prom") ||
-                         args->has("trace-out");
-  if (telemetry) {
-    if (!obs::compiled()) {
-      std::fprintf(stderr,
-                   "warning: telemetry was compiled out (-DREMGEN_OBS=OFF); "
-                   "exports will be empty\n");
-    }
-    obs::set_enabled(true);
-  }
-  if (args->has("profile-out")) {
-    // Profiling is gated separately from span/metric telemetry: --profile-out
-    // alone pays only the phase-timer cost, not the trace-buffer cost.
-    if (!obs::compiled()) {
-      std::fprintf(stderr,
-                   "warning: the profiler was compiled out (-DREMGEN_OBS=OFF); "
-                   "the profile will be empty\n");
-    }
-    obs::set_profiling_enabled(true);
-  }
-  obs::name_current_thread("main");
+  const obs::TelemetryOptions telemetry{.announce = true};
+  obs::start_telemetry(*args, telemetry);
 
   if (args->has("flightlog-out") || args->has("report-out")) {
     if (!flightlog::compiled()) {
@@ -521,14 +466,10 @@ int main(int argc, char** argv) {
 
   int status = 0;
   {
-    // Root phase: everything the command does hangs under cli.<command> in
-    // the profile tree.
-    const std::string root_phase = "cli." + args->command();
-    REMGEN_PROFILE_PHASE(root_phase.c_str());
+    // Root scope: everything the command does hangs under cli.<command>.
+    const obs::Scope root("cli." + args->command());
     status = dispatch(*args);
   }
-  if ((telemetry || args->has("profile-out")) && !export_telemetry(*args) && status == 0) {
-    status = 1;
-  }
+  if (!obs::finish_telemetry(*args, telemetry) && status == 0) status = 1;
   return status;
 }

@@ -44,9 +44,6 @@
 #include "ingest/source.hpp"
 #include "net/server.hpp"
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "util/args.hpp"
 #include "util/log.hpp"
 
@@ -119,23 +116,6 @@ bool write_port_file(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-bool export_telemetry(const util::Args& args) {
-  bool ok = true;
-  if (const std::string path = args.value("metrics-out"); !path.empty()) {
-    ok = obs::export_metrics_json_file(path) && ok;
-  }
-  if (const std::string path = args.value("metrics-prom"); !path.empty()) {
-    ok = obs::export_prometheus_file(path) && ok;
-  }
-  if (const std::string path = args.value("trace-out"); !path.empty()) {
-    ok = obs::export_trace_file(path) && ok;
-  }
-  if (const std::string path = args.value("profile-out"); !path.empty()) {
-    ok = obs::export_profile_json_file(path) && ok;
-  }
-  return ok;
-}
-
 void print_epoch(const ingest::EpochInfo& info) {
   std::printf("epoch %llu: %zu rows (%zu below gate), snapshot %zu B",
               static_cast<unsigned long long>(info.epoch), info.rows, info.dropped_rows,
@@ -181,9 +161,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  obs::set_enabled(true);
-  if (args->has("profile-out")) obs::set_profiling_enabled(true);
-  obs::name_current_thread("main");
+  obs::start_telemetry(*args, {.always_on = true});
 
   const long epoch_samples = args->value_int("epoch-samples", 0);
   const double epoch_seconds = args->value_double("epoch-seconds", 0.0);
@@ -320,6 +298,6 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(server.stats().publish_swaps));
   }
 
-  if (!export_telemetry(*args)) exit_code = exit_code == 0 ? 1 : exit_code;
+  if (!obs::finish_telemetry(*args)) exit_code = exit_code == 0 ? 1 : exit_code;
   return exit_code;
 }

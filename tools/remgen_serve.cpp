@@ -81,11 +81,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool telemetry =
-      args->has("metrics-out") || args->has("metrics-prom") || args->has("trace-out");
-  if (telemetry) obs::set_enabled(true);
-  if (args->has("profile-out")) obs::set_profiling_enabled(true);
-  obs::name_current_thread("main");
+  obs::start_telemetry(*args);
 
   const long cache_mb = args->value_int("cache-mb", 64);
   if (cache_mb < 0) {
@@ -144,21 +140,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.cache_hits),
                static_cast<unsigned long long>(stats.cache_misses));
 
-  if (telemetry || args->has("profile-out")) {
-    bool ok = true;
-    if (const std::string path = args->value("metrics-out"); !path.empty()) {
-      ok = obs::export_metrics_json_file(path) && ok;
-    }
-    if (const std::string path = args->value("metrics-prom"); !path.empty()) {
-      ok = obs::export_prometheus_file(path) && ok;
-    }
-    if (const std::string path = args->value("trace-out"); !path.empty()) {
-      ok = obs::export_trace_file(path) && ok;
-    }
-    if (const std::string path = args->value("profile-out"); !path.empty()) {
-      ok = obs::export_profile_json_file(path) && ok;
-    }
-    if (!ok) return 1;
-  }
+  if (!obs::finish_telemetry(*args)) return 1;
   return 0;
 }

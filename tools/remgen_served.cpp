@@ -86,23 +86,9 @@ bool write_port_file(const std::string& path, std::uint16_t port) {
   return true;
 }
 
-/// Writes the post-drain telemetry files. Runs on both the clean and the
-/// error path so a failed drain still leaves its evidence behind; reports
-/// dropped spans / task events on stderr so a truncated trace is visible.
-bool export_telemetry(const util::Args& args) {
-  bool ok = true;
-  if (const std::string path = args.value("metrics-out"); !path.empty()) {
-    ok = obs::export_metrics_json_file(path) && ok;
-  }
-  if (const std::string path = args.value("metrics-prom"); !path.empty()) {
-    ok = obs::export_prometheus_file(path) && ok;
-  }
-  if (const std::string path = args.value("trace-out"); !path.empty()) {
-    ok = obs::export_trace_file(path) && ok;
-  }
-  if (const std::string path = args.value("profile-out"); !path.empty()) {
-    ok = obs::export_profile_json_file(path) && ok;
-  }
+/// Reports dropped spans / task events on stderr so a truncated trace is
+/// visible.
+void report_dropped_telemetry() {
   const std::uint64_t dropped_spans = obs::trace().dropped();
   const std::uint64_t dropped_tasks = obs::task_events_dropped();
   if (dropped_spans > 0 || dropped_tasks > 0) {
@@ -110,7 +96,6 @@ bool export_telemetry(const util::Args& args) {
                  static_cast<unsigned long long>(dropped_spans),
                  static_cast<unsigned long long>(dropped_tasks));
   }
-  return ok;
 }
 
 }  // namespace
@@ -148,9 +133,7 @@ int main(int argc, char** argv) {
   }
   // The live plane (lifecycle histograms, scrape endpoints) is always on: a
   // server you cannot observe is not a server you can run.
-  obs::set_enabled(true);
-  if (args->has("profile-out")) obs::set_profiling_enabled(true);
-  obs::name_current_thread("main");
+  obs::start_telemetry(*args, {.always_on = true});
 
   const long cache_mb = args->value_int("cache-mb", 64);
   const long port = args->value_int("port", 0);
@@ -259,6 +242,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.slow_logged),
                static_cast<unsigned long long>(stats.stalled_rounds));
 
-  if (!export_telemetry(*args)) exit_code = exit_code == 0 ? 1 : exit_code;
+  if (!obs::finish_telemetry(*args)) exit_code = exit_code == 0 ? 1 : exit_code;
+  report_dropped_telemetry();
   return exit_code;
 }
