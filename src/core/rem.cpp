@@ -42,6 +42,10 @@ RemCell RadioEnvironmentMap::cell(const radio::MacAddress& mac,
   return field_of(mac).at(voxel);
 }
 
+std::span<const RemCell> RadioEnvironmentMap::layer(const radio::MacAddress& mac) const {
+  return field_of(mac).values();
+}
+
 std::optional<RemCell> RadioEnvironmentMap::query(const radio::MacAddress& mac,
                                                   const geom::Vec3& point) const {
   const auto it = fields_.find(mac);

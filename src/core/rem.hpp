@@ -10,6 +10,7 @@
 
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -42,6 +43,10 @@ class RadioEnvironmentMap {
 
   /// Reads one cell. `mac` must be one of macs().
   [[nodiscard]] RemCell cell(const radio::MacAddress& mac, const geom::VoxelIndex& voxel) const;
+
+  /// Every cell of one MAC's raster in GridGeometry::flat (z-major) order —
+  /// the snapshot and delta wire order. `mac` must be one of macs().
+  [[nodiscard]] std::span<const RemCell> layer(const radio::MacAddress& mac) const;
 
   /// Predicted RSS for `mac` at a world point (containing-voxel lookup);
   /// nullopt if the MAC is not mapped.

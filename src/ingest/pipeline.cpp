@@ -15,16 +15,14 @@
 
 namespace remgen::ingest {
 
-IngestPipeline::IngestPipeline(IngestConfig config)
-    : config_(std::move(config)), index_(config_.kdtree_rebuild_interval) {
+IngestPipeline::IngestPipeline(IngestConfig config) : config_(std::move(config)) {
   if (!config_.out_dir.empty()) {
     std::filesystem::create_directories(config_.out_dir);
   }
 }
 
 void IngestPipeline::push(const data::Sample& sample) {
-  live_.push(sample);
-  index_.insert(sample.position);
+  raw_.add(sample);
   ++samples_since_epoch_;
   REMGEN_COUNTER_ADD("ingest.samples", 1);
 
@@ -63,32 +61,22 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
   have_epoch_start_ts_ = false;
   if (new_samples == 0) return std::nullopt;
 
-  EpochInfo info;
-  info.total_samples = live_.size();
-  const data::Dataset raw = live_.dataset();
-  const data::Dataset prepared = live_.prepared(config_.rem.min_samples_per_mac,
-                                                &info.dropped_rows);
-  if (prepared.empty()) {
+  REMGEN_SCOPE("ingest.epoch");
+  std::optional<store::Snapshot> built =
+      store::build_snapshot(raw_, config_.model, config_.volume, config_.rem);
+  if (!built.has_value()) {
     util::logf(util::LogLevel::Info, "ingest",
                "epoch skipped: no MAC at the {}-sample gate yet ({} samples)",
-               config_.rem.min_samples_per_mac, live_.size());
+               config_.rem.min_samples_per_mac, raw_.size());
     return std::nullopt;
   }
+  store::Snapshot& snapshot = *built;
 
-  REMGEN_SCOPE("ingest.epoch");
+  EpochInfo info;
   info.epoch = ++epoch_;
-  info.rows = prepared.size();
-
-  // Exactly the batch recipe (remgen campaign --snapshot-out): fresh
-  // estimator, fitted + rasterised over the raw stream inside build_rem —
-  // the byte-identity anchor against the one-shot build.
-  std::unique_ptr<ml::Estimator> model = ml::make_model(config_.model);
-  core::RadioEnvironmentMap rem = core::build_rem(raw, *model, config_.volume, config_.rem);
-
-  store::Snapshot snapshot;
-  snapshot.dataset = prepared;
-  snapshot.rem.emplace(std::move(rem));
-  snapshot.model = std::move(model);
+  info.total_samples = raw_.size();
+  info.rows = snapshot.dataset.size();
+  info.dropped_rows = info.total_samples - info.rows;
 
   std::ostringstream snap_out;
   store::save_snapshot(snap_out, snapshot);
@@ -145,7 +133,7 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
   previous_ = std::move(snapshot);
   REMGEN_COUNTER_ADD("ingest.epochs", 1);
   REMGEN_GAUGE_SET("ingest.epoch", static_cast<double>(epoch_));
-  REMGEN_GAUGE_SET("ingest.live_samples", static_cast<double>(live_.size()));
+  REMGEN_GAUGE_SET("ingest.live_samples", static_cast<double>(raw_.size()));
   util::logf(util::LogLevel::Info, "ingest",
              "epoch {}: {} rows ({} below gate), snapshot {} B{}{}", epoch_, info.rows,
              info.dropped_rows, info.snapshot_bytes,

@@ -3,26 +3,25 @@
 // The batch pipeline is collect -> filter -> fit -> rasterise -> snapshot,
 // run once. This subsystem runs the same pipeline continuously: samples
 // stream in (from a live mission::Campaign via CampaignConfig::sample_sink,
-// or a tailed CSV/JSONL file via ingest::FileTailSource), accumulate in a
-// data::LiveDataset (per-MAC incremental stats, arrival order preserved) and
-// an ml::DynamicKdTree (buffered inserts, rebuild behind an atomic swap so
-// concurrent readers never block). When an epoch trigger fires — every N
-// samples, every T sim-seconds of sample timestamps, or an explicit flush()
-// — the estimator is refitted (fanning out on the shared exec pool), the REM
-// re-rasterised, and a versioned snapshot emitted: the first epoch as a full
-// REMSNAP1, later epochs additionally as a REMDELT1 delta against the
-// previous epoch (store/delta.hpp), both CRC-checked. The snapshot is
-// hot-published into a net::Server as a ready QueryEngine tagged with the
-// monotonic epoch id (surfaced in "stats" and net.map.<name>.epoch).
+// or a tailed CSV/JSONL file via ingest::FileTailSource) and accumulate in
+// arrival order. When an epoch trigger fires — every N samples, every T
+// sim-seconds of sample timestamps, or an explicit flush() — the snapshot
+// is rebuilt from the whole stream by store::build_snapshot (the gate, a
+// fresh estimator fitted on the shared exec pool, the REM sweep) and
+// emitted: the first epoch as a full REMSNAP1, later epochs additionally as
+// a REMDELT1 delta against the previous epoch (store/delta.hpp), both
+// CRC-checked. The snapshot is hot-published into a net::Server as a ready
+// QueryEngine tagged with the monotonic epoch id (surfaced in "stats" and
+// net.map.<name>.epoch).
 //
 // Determinism: every trigger depends only on the sample stream, never on
-// wall clock or thread timing, and each epoch build takes exactly the batch
-// path (same filter, fresh estimator, same rasteriser). Identical streams +
-// seeds therefore produce byte-identical epoch artefacts at any --threads,
-// and the final flushed epoch is byte-identical to the one-shot batch build
-// over the union of the stream — regardless of how the stream was split
-// into pushes. Not thread-safe: one producer thread pushes; the published
-// engines and the KD index are the concurrent-reader surfaces.
+// wall clock or thread timing, and each epoch build is the one batch recipe
+// (store::build_snapshot). Identical streams + seeds therefore produce
+// byte-identical epoch artefacts at any --threads, and the final flushed
+// epoch is byte-identical to the one-shot batch build over the union of the
+// stream — regardless of how the stream was split into pushes. Not
+// thread-safe: one producer thread pushes; the published engines are the
+// concurrent-reader surface.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +31,9 @@
 #include <vector>
 
 #include "core/rem_builder.hpp"
-#include "data/live_dataset.hpp"
+#include "data/dataset.hpp"
 #include "data/sink.hpp"
 #include "geom/aabb.hpp"
-#include "ml/kdtree_dynamic.hpp"
 #include "ml/model_zoo.hpp"
 #include "store/snapshot.hpp"
 
@@ -58,7 +56,6 @@ struct IngestConfig {
                                      ///< wall clock: deterministic.
 
   bool emit_deltas = true;           ///< Emit REMDELT1 for epochs after the first.
-  std::size_t kdtree_rebuild_interval = 1024;  ///< DynamicKdTree buffer bound.
   std::string out_dir;               ///< Write epoch files here ("" = in-memory only).
   std::size_t cache_bytes = 64 << 20;  ///< Result-cache budget of published engines.
 
@@ -69,9 +66,9 @@ struct IngestConfig {
 /// What one epoch produced.
 struct EpochInfo {
   std::uint64_t epoch = 0;           ///< Monotonic, starting at 1.
-  std::size_t total_samples = 0;     ///< Live samples when the epoch was cut.
+  std::size_t total_samples = 0;     ///< Raw samples when the epoch was cut.
   std::size_t rows = 0;              ///< Prepared rows in the snapshot.
-  std::size_t dropped_rows = 0;      ///< Rows below the MAC gate this epoch.
+  std::size_t dropped_rows = 0;      ///< Raw rows - snapshot rows (below the gate).
   std::size_t snapshot_bytes = 0;    ///< Serialised REMSNAP1 size.
   bool delta = false;                ///< A REMDELT1 was emitted for this epoch.
   std::size_t delta_bytes = 0;       ///< Serialised delta size (0 when !delta).
@@ -96,11 +93,7 @@ class IngestPipeline final : public data::SampleSink {
   std::optional<EpochInfo> flush();
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] std::size_t samples() const noexcept { return live_.size(); }
-  [[nodiscard]] const data::LiveDataset& live() const noexcept { return live_; }
-  /// Concurrent-reader point index over every ingested sample position.
-  [[nodiscard]] const ml::DynamicKdTree& index() const noexcept { return index_; }
-  [[nodiscard]] ml::DynamicKdTree& index() noexcept { return index_; }
+  [[nodiscard]] std::size_t samples() const noexcept { return raw_.size(); }
   /// Serialised REMSNAP1 of the latest epoch (empty before the first).
   [[nodiscard]] const std::string& latest_snapshot_bytes() const noexcept {
     return latest_snapshot_bytes_;
@@ -116,8 +109,7 @@ class IngestPipeline final : public data::SampleSink {
   [[nodiscard]] std::optional<EpochInfo> build_epoch();
 
   IngestConfig config_;
-  data::LiveDataset live_;
-  ml::DynamicKdTree index_;
+  data::Dataset raw_;              ///< Every accepted sample, arrival order.
   std::uint64_t epoch_ = 0;
   std::size_t samples_since_epoch_ = 0;
   bool have_epoch_start_ts_ = false;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,25 +32,9 @@ std::string row_bytes(const data::Sample& s) {
   return std::string(w.buffer().data(), w.size());
 }
 
-/// Reads the z-major cell run of one REM layer into `cells`.
-std::vector<core::RemCell> layer_cells(const core::RadioEnvironmentMap& rem,
-                                       const radio::MacAddress& mac) {
-  const geom::GridGeometry& g = rem.geometry();
-  std::vector<core::RemCell> cells;
-  cells.reserve(g.nx() * g.ny() * g.nz());
-  for (std::size_t iz = 0; iz < g.nz(); ++iz) {
-    for (std::size_t iy = 0; iy < g.ny(); ++iy) {
-      for (std::size_t ix = 0; ix < g.nx(); ++ix) {
-        cells.push_back(rem.cell(mac, {ix, iy, iz}));
-      }
-    }
-  }
-  return cells;
-}
-
 /// Bitwise cell equality: byte-identity of the serialised raster is the
 /// contract, so comparisons must be on the f64 bit patterns, not ==.
-bool cells_equal(const std::vector<core::RemCell>& a, const std::vector<core::RemCell>& b) {
+bool cells_equal(std::span<const core::RemCell> a, std::span<const core::RemCell> b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::bit_cast<std::uint64_t>(a[i].rss_dbm) != std::bit_cast<std::uint64_t>(b[i].rss_dbm) ||
@@ -61,20 +46,64 @@ bool cells_equal(const std::vector<core::RemCell>& a, const std::vector<core::Re
   return true;
 }
 
-bool geometry_equal(const geom::GridGeometry& a, const geom::GridGeometry& b) {
-  return std::bit_cast<std::uint64_t>(a.bounds().min.x) ==
-             std::bit_cast<std::uint64_t>(b.bounds().min.x) &&
-         std::bit_cast<std::uint64_t>(a.bounds().min.y) ==
-             std::bit_cast<std::uint64_t>(b.bounds().min.y) &&
-         std::bit_cast<std::uint64_t>(a.bounds().min.z) ==
-             std::bit_cast<std::uint64_t>(b.bounds().min.z) &&
-         std::bit_cast<std::uint64_t>(a.bounds().max.x) ==
-             std::bit_cast<std::uint64_t>(b.bounds().max.x) &&
-         std::bit_cast<std::uint64_t>(a.bounds().max.y) ==
-             std::bit_cast<std::uint64_t>(b.bounds().max.y) &&
-         std::bit_cast<std::uint64_t>(a.bounds().max.z) ==
-             std::bit_cast<std::uint64_t>(b.bounds().max.z) &&
-         a.nx() == b.nx() && a.ny() == b.ny() && a.nz() == b.nz();
+/// Bitwise grid equality between a REM and a patch's (unvalidated) grid.
+bool grid_equal(const geom::GridGeometry& g, const geom::Aabb& bounds, std::uint64_t nx,
+                std::uint64_t ny, std::uint64_t nz) {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  return same(g.bounds().min.x, bounds.min.x) && same(g.bounds().min.y, bounds.min.y) &&
+         same(g.bounds().min.z, bounds.min.z) && same(g.bounds().max.x, bounds.max.x) &&
+         same(g.bounds().max.y, bounds.max.y) && same(g.bounds().max.z, bounds.max.z) &&
+         g.nx() == nx && g.ny() == ny && g.nz() == nz;
+}
+
+/// Resolves each patch MAC to its cell run — the shipped layer, else the
+/// base REM's — and checks the patch grid against them: it must equal the
+/// base REM's grid, and every run must hold exactly nx·ny·nz cells. With no
+/// base REM every MAC needs a shipped layer, so the grid is bounded by the
+/// cells actually shipped. Runs before any grid or REM is constructed, so a
+/// crafted patch can neither trip a precondition nor size an allocation.
+std::vector<std::span<const core::RemCell>> patch_layers(const DeltaRemPatch& patch,
+                                                         const Snapshot& base) {
+  if (patch.macs.empty()) throw std::runtime_error("delta: REM patch has no MACs");
+  if (base.rem.has_value() &&
+      !grid_equal(base.rem->geometry(), patch.bounds, patch.nx, patch.ny, patch.nz)) {
+    throw std::runtime_error("delta: REM patch grid differs from the base REM");
+  }
+  std::vector<std::span<const core::RemCell>> layers;
+  layers.reserve(patch.macs.size());
+  for (const radio::MacAddress& mac : patch.macs) {
+    const auto shipped = std::find_if(patch.layers.begin(), patch.layers.end(),
+                                      [&](const DeltaRemLayer& l) { return l.mac == mac; });
+    if (shipped != patch.layers.end()) {
+      layers.emplace_back(shipped->cells);
+      continue;
+    }
+    if (!base.rem.has_value()) {
+      throw std::runtime_error("delta: unchanged layer but base has no REM");
+    }
+    const auto& base_macs = base.rem->macs();
+    if (std::find(base_macs.begin(), base_macs.end(), mac) == base_macs.end()) {
+      throw std::runtime_error(
+          util::format("delta: unchanged layer for mac {} missing from base", mac.to_string()));
+    }
+    layers.push_back(base.rem->layer(mac));
+  }
+  // nx·ny·nz == cells, checked by division so no product can overflow.
+  const std::uint64_t cells = layers.front().size();
+  const std::uint64_t nx = patch.nx;
+  const std::uint64_t ny = patch.ny;
+  if (nx == 0 || ny == 0 || nx > cells || ny > cells / nx || cells % (nx * ny) != 0 ||
+      patch.nz != cells / (nx * ny)) {
+    throw std::runtime_error("delta: REM patch grid does not match its layers");
+  }
+  for (const std::span<const core::RemCell> layer : layers) {
+    if (layer.size() != cells) {
+      throw std::runtime_error("delta: layer cell count does not match the grid");
+    }
+  }
+  return layers;
 }
 
 }  // namespace
@@ -125,7 +154,8 @@ SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64
   if (next.rem.has_value()) {
     const core::RadioEnvironmentMap& next_rem = *next.rem;
     const geom::GridGeometry& g = next_rem.geometry();
-    if (base.rem.has_value() && !geometry_equal(base.rem->geometry(), g)) {
+    if (base.rem.has_value() &&
+        !grid_equal(base.rem->geometry(), g.bounds(), g.nx(), g.ny(), g.nz())) {
       throw std::runtime_error("delta: REM grid geometry changed between epochs");
     }
     DeltaRemPatch patch;
@@ -135,15 +165,15 @@ SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64
     patch.nz = g.nz();
     patch.macs = next_rem.macs();
     for (const radio::MacAddress& mac : patch.macs) {
-      std::vector<core::RemCell> cells = layer_cells(next_rem, mac);
+      const std::span<const core::RemCell> cells = next_rem.layer(mac);
       bool changed = true;
       if (base.rem.has_value()) {
         const auto& base_macs = base.rem->macs();
         const bool in_base =
             std::find(base_macs.begin(), base_macs.end(), mac) != base_macs.end();
-        if (in_base) changed = !cells_equal(cells, layer_cells(*base.rem, mac));
+        if (in_base) changed = !cells_equal(cells, base.rem->layer(mac));
       }
-      if (changed) patch.layers.push_back(DeltaRemLayer{mac, std::move(cells)});
+      if (changed) patch.layers.push_back(DeltaRemLayer{mac, {cells.begin(), cells.end()}});
     }
     delta.rem = std::move(patch);
   }
@@ -190,43 +220,11 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
 
   if (delta.rem.has_value()) {
     const DeltaRemPatch& patch = *delta.rem;
+    const std::vector<std::span<const core::RemCell>> layers = patch_layers(patch, base);
     core::RadioEnvironmentMap rem(
         geom::GridGeometry(patch.bounds, patch.nx, patch.ny, patch.nz), patch.macs);
-    const geom::GridGeometry& g = rem.geometry();
-    for (const radio::MacAddress& mac : patch.macs) {
-      const DeltaRemLayer* layer = nullptr;
-      for (const DeltaRemLayer& l : patch.layers) {
-        if (l.mac == mac) {
-          layer = &l;
-          break;
-        }
-      }
-      std::vector<core::RemCell> cells;
-      if (layer != nullptr) {
-        cells = layer->cells;
-      } else {
-        if (!base.rem.has_value()) {
-          throw std::runtime_error("delta: unchanged layer but base has no REM");
-        }
-        const auto& base_macs = base.rem->macs();
-        if (std::find(base_macs.begin(), base_macs.end(), mac) == base_macs.end()) {
-          throw std::runtime_error(
-              util::format("delta: unchanged layer for mac {} missing from base",
-                           mac.to_string()));
-        }
-        cells = layer_cells(*base.rem, mac);
-      }
-      if (cells.size() != g.nx() * g.ny() * g.nz()) {
-        throw std::runtime_error("delta: layer cell count does not match the grid");
-      }
-      std::size_t c = 0;
-      for (std::size_t iz = 0; iz < g.nz(); ++iz) {
-        for (std::size_t iy = 0; iy < g.ny(); ++iy) {
-          for (std::size_t ix = 0; ix < g.nx(); ++ix) {
-            rem.set_cell(mac, {ix, iy, iz}, cells[c++]);
-          }
-        }
-      }
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      std::copy(layers[i].begin(), layers[i].end(), rem.field(patch.macs[i]).values().begin());
     }
     out.rem.emplace(std::move(rem));
   }

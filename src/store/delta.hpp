@@ -102,7 +102,9 @@ struct SnapshotDelta {
                                        std::uint64_t base_epoch, std::uint64_t epoch);
 
 /// Replays `delta` on top of `base`. Throws std::runtime_error when the base
-/// does not match the delta's recorded row count / CRC, or on internal
+/// does not match the delta's recorded row count / CRC, when the REM patch
+/// grid differs from the base REM's (or, with no base REM, is not exactly
+/// the size of a shipped layer for every MAC), or on internal
 /// inconsistencies. The result serialises byte-identically to the full
 /// snapshot the delta was computed against.
 [[nodiscard]] Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta);

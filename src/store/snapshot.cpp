@@ -67,14 +67,9 @@ void write_rem(util::BinaryWriter& w, const core::RadioEnvironmentMap& rem) {
   w.u64(rem.macs().size());
   for (const radio::MacAddress& mac : rem.macs()) ml::save_mac(w, mac);
   for (const radio::MacAddress& mac : rem.macs()) {
-    for (std::size_t iz = 0; iz < g.nz(); ++iz) {
-      for (std::size_t iy = 0; iy < g.ny(); ++iy) {
-        for (std::size_t ix = 0; ix < g.nx(); ++ix) {
-          const core::RemCell cell = rem.cell(mac, {ix, iy, iz});
-          w.f64(cell.rss_dbm);
-          w.f64(cell.sigma_db);
-        }
-      }
+    for (const core::RemCell& cell : rem.layer(mac)) {
+      w.f64(cell.rss_dbm);
+      w.f64(cell.sigma_db);
     }
   }
 }
@@ -99,15 +94,9 @@ core::RadioEnvironmentMap read_rem(util::BinaryReader& r) {
   for (radio::MacAddress& mac : macs) mac = ml::load_mac(r);
   core::RadioEnvironmentMap rem(geom::GridGeometry(bounds, nx, ny, nz), macs);
   for (const radio::MacAddress& mac : macs) {
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-      for (std::size_t iy = 0; iy < ny; ++iy) {
-        for (std::size_t ix = 0; ix < nx; ++ix) {
-          core::RemCell cell;
-          cell.rss_dbm = r.f64();
-          cell.sigma_db = r.f64();
-          rem.set_cell(mac, {ix, iy, iz}, cell);
-        }
-      }
+    for (core::RemCell& cell : rem.field(mac).values()) {
+      cell.rss_dbm = r.f64();
+      cell.sigma_db = r.f64();
     }
   }
   return rem;
@@ -198,6 +187,20 @@ void save_snapshot_file(const std::string& path, const Snapshot& snapshot) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error(util::format("snapshot: cannot open '{}' for write", path));
   save_snapshot(out, snapshot);
+}
+
+std::optional<Snapshot> build_snapshot(const data::Dataset& raw, ml::ModelKind kind,
+                                       const geom::Aabb& volume,
+                                       const core::RemBuilderConfig& config) {
+  data::Dataset prepared = raw.filter_min_samples_per_mac(config.min_samples_per_mac);
+  if (prepared.empty()) return std::nullopt;
+  // build_rem gates again; on already-gated rows that keeps every row in
+  // order, so the fit input and channel map match build_rem(raw).
+  Snapshot snapshot;
+  snapshot.model = ml::make_model(kind);
+  snapshot.rem.emplace(core::build_rem(prepared, *snapshot.model, volume, config));
+  snapshot.dataset = std::move(prepared);
+  return snapshot;
 }
 
 Snapshot load_snapshot_file(const std::string& path) {

@@ -25,8 +25,10 @@
 #include <string>
 
 #include "core/rem.hpp"
+#include "core/rem_builder.hpp"
 #include "data/dataset.hpp"
 #include "ml/estimator.hpp"
+#include "ml/model_zoo.hpp"
 
 namespace remgen::util {
 class BinaryWriter;
@@ -60,6 +62,17 @@ void save_snapshot(std::ostream& out, const Snapshot& snapshot);
 /// Parses a snapshot from `in`. Throws std::runtime_error on bad magic,
 /// unsupported version, truncated input, or CRC mismatch.
 [[nodiscard]] Snapshot load_snapshot(std::istream& in);
+
+/// The one batch recipe from raw samples to a servable snapshot: the
+/// >= min_samples_per_mac gate, a fresh `kind` estimator fitted on the
+/// gated rows, and the REM swept over `volume`. Every snapshot built from a
+/// raw dataset (remgen rem / campaign --snapshot-out, each ingest epoch)
+/// goes through here, so stream and batch builds agree byte for byte.
+/// nullopt when no MAC reaches the gate.
+[[nodiscard]] std::optional<Snapshot> build_snapshot(const data::Dataset& raw,
+                                                     ml::ModelKind kind,
+                                                     const geom::Aabb& volume,
+                                                     const core::RemBuilderConfig& config);
 
 /// save_snapshot to a file; throws std::runtime_error if unwritable.
 void save_snapshot_file(const std::string& path, const Snapshot& snapshot);

@@ -1,26 +1,23 @@
 // Streaming ingestion: the pipeline's epochs must be byte-identical to the
 // one-shot batch build no matter how the stream was split or how many exec
-// threads run, deltas must replay exactly, tail sources must survive torn
-// lines and bad rows, and the KD index must stay readable mid-rebuild.
+// threads run, deltas must replay exactly, and tail sources must survive
+// torn lines and bad rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/rem_builder.hpp"
-#include "data/live_dataset.hpp"
+#include "data/sink.hpp"
 #include "exec/config.hpp"
 #include "geom/aabb.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/source.hpp"
-#include "ml/kdtree_dynamic.hpp"
 #include "ml/model_zoo.hpp"
 #include "store/delta.hpp"
 #include "store/snapshot.hpp"
@@ -191,7 +188,7 @@ TEST_F(IngestPipelineTest, GateSkipsEpochsUntilAMacQualifies) {
 
 TEST_F(IngestPipelineTest, BelowGateMacsAreDroppedFromTheSnapshotOnly) {
   // 20 x A and 10 x B: B stays below the gate, so the snapshot carries A's
-  // rows only — but the raw live dataset (and the REM fit input) keeps all.
+  // rows only — but the pipeline's raw stream keeps all 30.
   util::Rng rng(23);
   std::vector<data::Sample> samples;
   for (std::size_t i = 0; i < 30; ++i) {
@@ -353,32 +350,11 @@ TEST_F(IngestPipelineTest, IngestDeltaRejectsCorruptionAndWrongBase) {
   EXPECT_THROW((void)store::apply_delta(wrong_base, delta), std::runtime_error);
 }
 
-TEST(IngestLiveDataset, PreparedMatchesBatchFilterAndStatsStayIncremental) {
-  const std::vector<data::Sample> samples = synthetic_stream(20, 19);
-  data::LiveDataset live;
-  for (const data::Sample& s : samples) live.push(s);
-  ASSERT_EQ(live.size(), samples.size());
-
-  const data::Dataset batch = data::Dataset{samples}.filter_min_samples_per_mac(16);
-  std::size_t dropped = 0;
-  const data::Dataset prepared = live.prepared(16, &dropped);
-  ASSERT_EQ(prepared.size(), batch.size());
-  EXPECT_EQ(dropped, samples.size() - batch.size());
-  for (std::size_t i = 0; i < prepared.size(); ++i) {
-    EXPECT_EQ(prepared.samples()[i].mac, batch.samples()[i].mac);
-    EXPECT_EQ(prepared.samples()[i].rss_dbm, batch.samples()[i].rss_dbm);
-  }
-
-  EXPECT_EQ(live.qualified_macs(16), 3u);
-  EXPECT_EQ(live.qualified_macs(21), 0u);
-  const auto& stats = live.mac_stats();
-  ASSERT_EQ(stats.size(), 3u);
-  for (const auto& [mac, per_mac] : stats) {
-    EXPECT_EQ(per_mac.count, 20u);
-    EXPECT_GT(per_mac.mean_rss_dbm, -80.0);
-    EXPECT_LT(per_mac.mean_rss_dbm, -30.0);
-  }
-}
+/// Collects every pushed sample, in order.
+struct CollectingSink final : data::SampleSink {
+  void push(const data::Sample& sample) override { samples.push_back(sample); }
+  std::vector<data::Sample> samples;
+};
 
 TEST(IngestTailSource, TailsCsvAcrossAppendsSkippingHeaderAndBadRows) {
   const std::string path = ::testing::TempDir() + "ingest_tail.csv";
@@ -386,7 +362,7 @@ TEST(IngestTailSource, TailsCsvAcrossAppendsSkippingHeaderAndBadRows) {
   FileTailSource source(path, stream_format_for_path(path));
   EXPECT_EQ(source.format(), StreamFormat::Csv);
 
-  data::LiveDataset sink;
+  CollectingSink sink;
   EXPECT_EQ(source.poll(sink), 0u);  // File not created yet: not an error.
 
   {
@@ -399,21 +375,21 @@ TEST(IngestTailSource, TailsCsvAcrossAppendsSkippingHeaderAndBadRows) {
     out << "3.0,1.0";  // Torn line: the tail must wait for the rest.
   }
   EXPECT_EQ(source.poll(sink), 2u);
-  EXPECT_EQ(sink.size(), 2u);
+  EXPECT_EQ(sink.samples.size(), 2u);
   EXPECT_EQ(source.stats().accepted, 2u);
   EXPECT_EQ(source.stats().rejected, 2u);
   EXPECT_EQ(source.stats().lines, 5u);  // Header + 4 complete rows.
-  EXPECT_DOUBLE_EQ(sink.samples()[0].position.x, 1.5);
-  EXPECT_EQ(sink.samples()[1].mac.to_string(), kMacB);
+  EXPECT_DOUBLE_EQ(sink.samples[0].position.x, 1.5);
+  EXPECT_EQ(sink.samples[1].mac.to_string(), kMacB);
 
   {
     std::ofstream out(path, std::ios::binary | std::ios::app);
     out << ",0.75,lab,-44.0,02:00:00:00:00:0b,11,4.0,2,3\n";  // Completes the torn line.
   }
   EXPECT_EQ(source.poll(sink), 1u);
-  EXPECT_EQ(sink.size(), 3u);
-  EXPECT_DOUBLE_EQ(sink.samples()[2].position.x, 3.0);
-  EXPECT_DOUBLE_EQ(sink.samples()[2].rss_dbm, -44.0);
+  EXPECT_EQ(sink.samples.size(), 3u);
+  EXPECT_DOUBLE_EQ(sink.samples[2].position.x, 3.0);
+  EXPECT_DOUBLE_EQ(sink.samples[2].rss_dbm, -44.0);
   EXPECT_EQ(source.stats().accepted, 3u);
   EXPECT_EQ(source.poll(sink), 0u);  // Nothing new.
 }
@@ -437,69 +413,11 @@ TEST(IngestTailSource, TailsJsonlAndCountsRejectedRows) {
            "\"uav_id\":1,\"waypoint_index\":1}\n";
   }
   FileTailSource source(path, stream_format_for_path(path));
-  data::LiveDataset sink;
+  CollectingSink sink;
   EXPECT_EQ(source.poll(sink), 2u);
   EXPECT_EQ(source.stats().rejected, 1u);
-  EXPECT_EQ(sink.size(), 2u);
-  EXPECT_EQ(sink.samples()[1].mac.to_string(), kMacB);
-}
-
-TEST(IngestDynamicKdTreeConcurrency, ReadersNeverBlockOrTearDuringRebuilds) {
-  // One writer inserting through many automatic rebuilds, three readers
-  // querying throughout with no synchronisation: the atomic-swap publication
-  // contract. TSan runs this test in CI; the assertions below catch torn
-  // states (unsorted merges, impossible indices) at runtime.
-  ml::DynamicKdTree tree(32);
-  std::atomic<bool> done{false};
-  std::atomic<std::size_t> queries{0};
-  constexpr std::size_t kPoints = 4000;
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&tree, &done, &queries, kPoints, r] {
-      util::Rng rng(100 + static_cast<std::uint64_t>(r));
-      while (!done.load(std::memory_order_acquire)) {
-        const geom::Vec3 q{rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0),
-                           rng.uniform(0.0, 2.0)};
-        const std::vector<ml::KdHit> hits = tree.nearest(q, 8);
-        EXPECT_LE(hits.size(), 8u);
-        for (std::size_t i = 0; i < hits.size(); ++i) {
-          EXPECT_LT(hits[i].index, kPoints);
-          if (i > 0) EXPECT_LE(hits[i - 1].distance, hits[i].distance);
-        }
-        queries.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  util::Rng rng(7);
-  for (std::size_t i = 0; i < kPoints; ++i) {
-    tree.insert({rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0)});
-  }
-  tree.rebuild();
-  done.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-
-  EXPECT_EQ(tree.size(), kPoints);
-  EXPECT_EQ(tree.pending(), 0u);
-  EXPECT_GE(tree.rebuilds(), kPoints / 32);
-  EXPECT_GT(queries.load(), 0u);
-}
-
-TEST(IngestPipelineIndex, IndexCoversEveryIngestedSample) {
-  const std::vector<data::Sample> samples = synthetic_stream(10, 29);
-  IngestConfig config = test_config();
-  config.kdtree_rebuild_interval = 8;
-  IngestPipeline pipeline(config);
-  pipeline.push_batch(samples);
-  EXPECT_EQ(pipeline.index().size(), samples.size());
-  EXPECT_GE(pipeline.index().rebuilds(), samples.size() / 8);
-
-  // The nearest ingested point to a sample's own position is itself.
-  const std::vector<ml::KdHit> hits = pipeline.index().nearest(samples[4].position, 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].index, 4u);
-  EXPECT_DOUBLE_EQ(hits[0].distance, 0.0);
+  EXPECT_EQ(sink.samples.size(), 2u);
+  EXPECT_EQ(sink.samples[1].mac.to_string(), kMacB);
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 
 #include "ml/kdtree.hpp"
-#include "ml/kdtree_dynamic.hpp"
 #include "util/rng.hpp"
 
 namespace remgen::ml {
@@ -127,107 +125,6 @@ TEST_P(KdTreeVsBruteForce, WithinMatches) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, KdTreeVsBruteForce, ::testing::Values(2, 5, 17, 64, 257, 1000));
-
-std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
-
-// The ingest staleness invariant: after buffered inserts and any number of
-// automatic rebuilds, a quiesced DynamicKdTree answers nearest() with the
-// exact bits a from-scratch KdTree over the same point stream produces.
-TEST(KdTreeDynamic, BufferedInsertThenRebuildMatchesFromScratchBitExactly) {
-  const auto points = random_points(700, 123);
-  DynamicKdTree dynamic(64);  // Crosses the rebuild interval many times.
-  for (const geom::Vec3& p : points) dynamic.insert(p);
-  dynamic.rebuild();
-  ASSERT_EQ(dynamic.pending(), 0u);
-  ASSERT_EQ(dynamic.size(), points.size());
-  ASSERT_EQ(dynamic.tree_size(), points.size());
-  EXPECT_GE(dynamic.rebuilds(), points.size() / 64);
-
-  const KdTree scratch(points);
-  util::Rng rng(77);
-  for (int trial = 0; trial < 50; ++trial) {
-    const geom::Vec3 q{rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)};
-    const std::size_t k = 1 + rng.index(12);
-    const auto expected = scratch.nearest(q, k);
-    const auto actual = dynamic.nearest(q, k);
-    ASSERT_EQ(expected.size(), actual.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].index, actual[i].index) << "trial " << trial << " hit " << i;
-      EXPECT_EQ(bits(expected[i].distance), bits(actual[i].distance))
-          << "trial " << trial << " hit " << i;
-    }
-  }
-}
-
-TEST(KdTreeDynamic, PendingMergeIsIndependentOfRebuildTiming) {
-  // Same stream, different rebuild schedules: all pending vs. a mid-stream
-  // rebuild. Query answers must agree bit-for-bit, because the merge orders
-  // by (distance, insertion index) and both paths share distance_to.
-  const auto points = random_points(40, 5);
-  DynamicKdTree all_pending(1024);
-  all_pending.insert_batch(points);
-  EXPECT_EQ(all_pending.tree_size(), 0u);
-  EXPECT_EQ(all_pending.pending(), 40u);
-
-  DynamicKdTree half_built(1024);
-  half_built.insert_batch(std::span<const geom::Vec3>(points.data(), 20));
-  half_built.rebuild();
-  half_built.insert_batch(std::span<const geom::Vec3>(points.data() + 20, 20));
-  EXPECT_EQ(half_built.tree_size(), 20u);
-  EXPECT_EQ(half_built.pending(), 20u);
-
-  util::Rng rng(11);
-  for (int trial = 0; trial < 25; ++trial) {
-    const geom::Vec3 q{rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)};
-    const std::size_t k = 1 + rng.index(10);
-    const auto a = all_pending.nearest(q, k);
-    const auto b = half_built.nearest(q, k);
-    const auto brute = brute_force(points, q, k);
-    ASSERT_EQ(a.size(), b.size());
-    ASSERT_EQ(a.size(), brute.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].index, b[i].index);
-      EXPECT_EQ(bits(a[i].distance), bits(b[i].distance));
-      EXPECT_DOUBLE_EQ(a[i].distance, brute[i].distance);
-    }
-  }
-}
-
-TEST(KdTreeDynamic, AutoRebuildFiresAtIntervalAndIdleRebuildIsANoOp) {
-  const auto points = random_points(11, 9);
-  DynamicKdTree dynamic(8);
-  for (std::size_t i = 0; i < 8; ++i) dynamic.insert(points[i]);
-  EXPECT_EQ(dynamic.rebuilds(), 1u);  // The 8th insert filled the buffer.
-  EXPECT_EQ(dynamic.pending(), 0u);
-  EXPECT_EQ(dynamic.tree_size(), 8u);
-
-  for (std::size_t i = 8; i < 11; ++i) dynamic.insert(points[i]);
-  EXPECT_EQ(dynamic.pending(), 3u);
-  EXPECT_EQ(dynamic.size(), 11u);
-
-  dynamic.rebuild();
-  EXPECT_EQ(dynamic.rebuilds(), 2u);
-  EXPECT_EQ(dynamic.pending(), 0u);
-  dynamic.rebuild();  // Nothing new: publishes nothing, counts nothing.
-  EXPECT_EQ(dynamic.rebuilds(), 2u);
-}
-
-TEST(KdTreeDynamic, EmptyAndScratchQueries) {
-  DynamicKdTree dynamic(16);
-  EXPECT_EQ(dynamic.size(), 0u);
-  EXPECT_TRUE(dynamic.nearest({0, 0, 0}, 4).empty());
-
-  const auto points = random_points(30, 3);
-  dynamic.insert_batch(points);
-  KdQueryScratch scratch;
-  const std::size_t count = dynamic.nearest({0, 0, 0}, 5, scratch);
-  const auto expected = dynamic.nearest({0, 0, 0}, 5);
-  ASSERT_EQ(count, expected.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(scratch.heap[i].index, expected[i].index);
-    EXPECT_EQ(bits(scratch.heap[i].distance), bits(expected[i].distance));
-  }
-}
 
 }  // namespace
 }  // namespace remgen::ml

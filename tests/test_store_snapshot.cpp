@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <functional>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/rem_builder.hpp"
@@ -200,6 +201,53 @@ TEST(StoreSnapshot, RemAndModelAreOptional) {
   EXPECT_EQ(loaded.model, nullptr);
 }
 
+// --- The one batch recipe ----------------------------------------------
+
+core::RemBuilderConfig gate_config(std::size_t min_samples) {
+  core::RemBuilderConfig config;
+  config.voxel_m = 0.5;
+  config.min_samples_per_mac = min_samples;
+  return config;
+}
+
+const geom::Aabb kVolume({0, 0, 0}, {4.0, 3.0, 2.0});
+
+TEST(StoreBuildSnapshot, NulloptWhenNoMacReachesTheGate) {
+  const data::Dataset raw = synthetic_dataset(10);  // 10 samples per MAC.
+  EXPECT_FALSE(
+      build_snapshot(raw, ml::ModelKind::PerMacKnn, kVolume, gate_config(11)).has_value());
+  EXPECT_FALSE(build_snapshot(data::Dataset{}, ml::ModelKind::PerMacKnn, kVolume,
+                              gate_config(1))
+                   .has_value());
+  EXPECT_TRUE(
+      build_snapshot(raw, ml::ModelKind::PerMacKnn, kVolume, gate_config(10)).has_value());
+}
+
+TEST(StoreBuildSnapshot, MatchesHandBuiltBatchReferenceWithAMacBelowTheGate) {
+  // A and B have 40 samples each; C's 5 stay below the 16-sample gate.
+  data::Dataset raw = synthetic_dataset();
+  util::Rng rng(5);
+  for (int i = 0; i < 5; ++i) {
+    raw.add(make_sample(rng.uniform(0.0, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0),
+                        "02:00:00:00:00:0c", -65.0, 1));
+  }
+  const core::RemBuilderConfig config = gate_config(16);
+  for (const ml::ModelKind kind :
+       {ml::ModelKind::KnnScaled16, ml::ModelKind::PerMacKnn, ml::ModelKind::Kriging}) {
+    Snapshot reference;
+    reference.dataset = raw.filter_min_samples_per_mac(config.min_samples_per_mac);
+    auto model = ml::make_model(kind);
+    reference.rem.emplace(core::build_rem(raw, *model, kVolume, config));
+    reference.model = std::move(model);
+
+    const std::optional<Snapshot> built = build_snapshot(raw, kind, kVolume, config);
+    ASSERT_TRUE(built.has_value());
+    EXPECT_EQ(built->dataset.size(), raw.size() - 5);
+    EXPECT_EQ(built->rem->macs().size(), 2u);
+    EXPECT_EQ(snapshot_bytes(*built), snapshot_bytes(reference)) << ml::model_kind_name(kind);
+  }
+}
+
 TEST(StoreSnapshot, FileRoundTrip) {
   const Snapshot snapshot = make_snapshot();
   const std::string path =
@@ -362,6 +410,69 @@ TEST(StoreDelta, InflatedRowCountIsRejected) {
     std::istringstream in(bytes);
     (void)load_delta(in);
   });
+}
+
+// --- apply_delta bounds a crafted REM patch grid before building it ------
+
+/// `delta` through the wire format (CRC-valid bytes), then applied to `base`.
+Snapshot apply_via_bytes(const Snapshot& base, const SnapshotDelta& delta) {
+  std::ostringstream out;
+  save_delta(out, delta);
+  std::istringstream in(out.str());
+  return apply_delta(base, load_delta(in));
+}
+
+/// A real epoch-to-epoch delta whose REM patch `tamper` then edits.
+void expect_patch_rejected(bool base_has_rem,
+                           const std::function<void(DeltaRemPatch&)>& tamper) {
+  Snapshot base = make_snapshot();
+  if (!base_has_rem) base.rem.reset();
+  const Snapshot next = make_snapshot(ml::ModelKind::KnnScaled16);
+  SnapshotDelta delta = make_delta(base, next, 1, 2);
+  ASSERT_TRUE(delta.rem.has_value());
+  ASSERT_EQ(delta.rem->layers.size(), delta.rem->macs.size());
+  tamper(*delta.rem);
+  EXPECT_THROW((void)apply_via_bytes(base, delta), std::runtime_error);
+}
+
+TEST(StoreDelta, UntamperedPatchReplaysOntoEitherBase) {
+  for (const bool base_has_rem : {true, false}) {
+    Snapshot base = make_snapshot();
+    if (!base_has_rem) base.rem.reset();
+    const Snapshot next = make_snapshot(ml::ModelKind::KnnScaled16);
+    const Snapshot applied = apply_via_bytes(base, make_delta(base, next, 1, 2));
+    EXPECT_EQ(snapshot_bytes(applied), snapshot_bytes(next));
+  }
+}
+
+TEST(StoreDelta, ZeroPatchAxisIsRejected) {
+  for (const bool base_has_rem : {true, false}) {
+    expect_patch_rejected(base_has_rem, [](DeltaRemPatch& patch) { patch.ny = 0; });
+  }
+}
+
+TEST(StoreDelta, InflatedPatchAxisIsRejected) {
+  // 2^50 cells per MAC if believed: the grid must be checked against the
+  // base REM or the shipped layers before anything is allocated.
+  for (const bool base_has_rem : {true, false}) {
+    expect_patch_rejected(base_has_rem, [](DeltaRemPatch& patch) {
+      patch.nx = std::uint64_t{1} << 20;
+      patch.ny = std::uint64_t{1} << 20;
+      patch.nz = std::uint64_t{1} << 10;
+    });
+  }
+}
+
+TEST(StoreDelta, PatchGridMustMatchTheBaseRem) {
+  // Same cell count, different shape or bounds: still not the base grid.
+  expect_patch_rejected(true, [](DeltaRemPatch& patch) { std::swap(patch.nx, patch.ny); });
+  expect_patch_rejected(true, [](DeltaRemPatch& patch) { patch.bounds.max.x += 1.0; });
+}
+
+TEST(StoreDelta, PatchWithoutBaseRemMustShipEveryLayer) {
+  expect_patch_rejected(false, [](DeltaRemPatch& patch) { patch.layers.pop_back(); });
+  expect_patch_rejected(false, [](DeltaRemPatch& patch) { patch.macs.clear(); });
+  expect_patch_rejected(true, [](DeltaRemPatch& patch) { patch.macs.clear(); });
 }
 
 }  // namespace

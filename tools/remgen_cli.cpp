@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/drift.hpp"
@@ -100,15 +101,30 @@ data::Dataset load_dataset(const std::string& path) {
   return data::Dataset::read_csv(in);
 }
 
-/// Writes the preprocessed dataset + baked REM + fitted model as a snapshot
-/// for remgen-serve. Returns 0 on success, 1 on write failure.
-int write_snapshot(const std::string& path, const data::Dataset& prepared,
-                   std::optional<core::RadioEnvironmentMap> rem,
-                   std::unique_ptr<ml::Estimator> model) {
-  store::Snapshot snapshot;
-  snapshot.dataset = prepared;
-  snapshot.rem = std::move(rem);
-  snapshot.model = std::move(model);
+geom::Aabb volume_for(const util::Args& args) {
+  // The raster bounds of the REM; matches the scan volume of the chosen
+  // environment.
+  if (args.value("env", "apartment") == "office") {
+    return geom::make_office_model().scan_volume;
+  }
+  return geom::Aabb({0, 0, 0}, {3.74, 3.20, 2.10});
+}
+
+/// store::build_snapshot under the REM flags (--model, --voxel,
+/// --min-samples, --env); nullopt when no MAC reaches the gate.
+std::optional<store::Snapshot> snapshot_for(const data::Dataset& raw, const util::Args& args) {
+  core::RemBuilderConfig config;
+  config.voxel_m = args.value_double("voxel", 0.25);
+  config.min_samples_per_mac = static_cast<std::size_t>(args.value_int("min-samples", 16));
+  return store::build_snapshot(raw, model_by_name(args.value("model", "knn-onehot-x3-k16")),
+                               volume_for(args), config);
+}
+
+/// Writes `snapshot` to --snapshot-out for remgen-serve, when that flag is
+/// given. Returns 0 on success or when not asked, 1 on write failure.
+int save_snapshot_out(const util::Args& args, const store::Snapshot& snapshot) {
+  const std::string path = args.value("snapshot-out");
+  if (path.empty()) return 0;
   try {
     store::save_snapshot_file(path, snapshot);
   } catch (const std::exception& e) {
@@ -117,15 +133,6 @@ int write_snapshot(const std::string& path, const data::Dataset& prepared,
   }
   std::printf("snapshot written to %s\n", path.c_str());
   return 0;
-}
-
-geom::Aabb volume_for(const util::Args& args) {
-  // The raster bounds of the REM; matches the scan volume of the chosen
-  // environment.
-  if (args.value("env", "apartment") == "office") {
-    return geom::make_office_model().scan_volume;
-  }
-  return geom::Aabb({0, 0, 0}, {3.74, 3.20, 2.10});
 }
 
 int cmd_campaign(const util::Args& args) {
@@ -236,21 +243,13 @@ int cmd_campaign(const util::Args& args) {
       status = 1;
     }
   }
-  if (const std::string snap = args.value("snapshot-out"); !snap.empty()) {
-    core::RemBuilderConfig rem_config;
-    rem_config.voxel_m = args.value_double("voxel", 0.25);
-    rem_config.min_samples_per_mac =
-        static_cast<std::size_t>(args.value_int("min-samples", 16));
-    const data::Dataset prepared =
-        result.dataset.filter_min_samples_per_mac(rem_config.min_samples_per_mac);
-    if (prepared.empty()) {
+  if (!args.value("snapshot-out").empty()) {
+    const std::optional<store::Snapshot> snapshot = snapshot_for(result.dataset, args);
+    if (!snapshot.has_value()) {
       std::fprintf(stderr, "no samples survive the min-samples rule; snapshot not written\n");
       status = 1;
-    } else {
-      auto model = ml::make_model(model_by_name(args.value("model", "knn-onehot-x3-k16")));
-      core::RadioEnvironmentMap rem =
-          core::build_rem(result.dataset, *model, volume_for(args), rem_config);
-      if (write_snapshot(snap, prepared, std::move(rem), std::move(model)) != 0) status = 1;
+    } else if (save_snapshot_out(args, *snapshot) != 0) {
+      status = 1;
     }
   }
   return status;
@@ -307,11 +306,12 @@ int cmd_evaluate(const util::Args& args) {
 
 int cmd_rem(const util::Args& args) {
   const data::Dataset ds = load_dataset(args.value("in", "dataset.csv"));
-  auto model = ml::make_model(model_by_name(args.value("model", "knn-onehot-x3-k16")));
-  core::RemBuilderConfig config;
-  config.voxel_m = args.value_double("voxel", 0.25);
-  config.min_samples_per_mac = static_cast<std::size_t>(args.value_int("min-samples", 16));
-  core::RadioEnvironmentMap rem = core::build_rem(ds, *model, volume_for(args), config);
+  const std::optional<store::Snapshot> snapshot = snapshot_for(ds, args);
+  if (!snapshot.has_value()) {
+    std::fprintf(stderr, "no samples survive the min-samples rule\n");
+    return 1;
+  }
+  const core::RadioEnvironmentMap& rem = *snapshot->rem;
   const std::string out = args.value("out", "rem.csv");
   std::ofstream file(out);
   rem.write_csv(file);
@@ -319,13 +319,7 @@ int cmd_rem(const util::Args& args) {
               rem.macs().size(), rem.geometry().nx(), rem.geometry().ny(), rem.geometry().nz(),
               out.c_str());
   std::printf("coverage at -80 dBm: %.1f%%\n", rem.coverage_fraction(-80.0) * 100.0);
-  if (const std::string snap = args.value("snapshot-out"); !snap.empty()) {
-    // build_rem fitted the model on the preprocessed dataset; bundle that
-    // same dataset so remgen-serve reconstructs identical query context.
-    const data::Dataset prepared = ds.filter_min_samples_per_mac(config.min_samples_per_mac);
-    return write_snapshot(snap, prepared, std::move(rem), std::move(model));
-  }
-  return 0;
+  return save_snapshot_out(args, *snapshot);
 }
 
 int cmd_query(const util::Args& args) {
@@ -340,6 +334,10 @@ int cmd_query(const util::Args& args) {
   const auto model = ml::make_model(model_by_name(args.value("model", "knn-onehot-x3-k16")));
   const data::Dataset prepared = ds.filter_min_samples_per_mac(
       static_cast<std::size_t>(args.value_int("min-samples", 16)));
+  if (prepared.empty()) {
+    std::fprintf(stderr, "no samples survive the min-samples rule\n");
+    return 1;
+  }
   model->fit(prepared.samples());
 
   // Predict every MAC at the point and print the strongest first.
