@@ -11,14 +11,14 @@
 
 namespace remgen::core {
 
-RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estimator,
-                              const geom::Aabb& volume, const RemBuilderConfig& config) {
-  REMGEN_EXPECTS(!dataset.empty());
-  obs::Scope build_scope("core.build_rem");
-  const data::Dataset prepared =
-      dataset.filter_min_samples_per_mac(config.min_samples_per_mac);
-  REMGEN_EXPECTS(!prepared.empty());
+namespace {
 
+/// Both build_rem overloads: fit on every row of `prepared`, then sweep
+/// `grid`. The caller owns the core.build_rem scope, so the gate of the
+/// gating overload stays inside it.
+RadioEnvironmentMap fit_and_sweep(const data::Dataset& prepared, ml::Estimator& estimator,
+                                  const geom::GridGeometry& grid, obs::Scope& build_scope) {
+  REMGEN_EXPECTS(!prepared.empty());
   {
     REMGEN_SCOPE("ml.fit");
     estimator.fit(prepared.samples());
@@ -50,7 +50,7 @@ RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estim
 
   const auto* kriging = dynamic_cast<const ml::KrigingRegressor*>(&estimator);
 
-  RadioEnvironmentMap rem(geom::GridGeometry::with_resolution(volume, config.voxel_m), macs);
+  RadioEnvironmentMap rem(grid, macs);
   const geom::GridGeometry& g = rem.geometry();
 
   // One task per (mac, z-slab), issuing one predict_batch per y-row of nx
@@ -111,6 +111,24 @@ RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estim
   build_scope.arg("macs", macs.size());
   build_scope.arg("voxels", g.nx() * g.ny() * g.nz());
   return rem;
+}
+
+}  // namespace
+
+RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estimator,
+                              const geom::GridGeometry& grid) {
+  obs::Scope build_scope("core.build_rem");
+  return fit_and_sweep(dataset, estimator, grid, build_scope);
+}
+
+RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::Estimator& estimator,
+                              const geom::Aabb& volume, const RemBuilderConfig& config) {
+  REMGEN_EXPECTS(!dataset.empty());
+  obs::Scope build_scope("core.build_rem");
+  const data::Dataset prepared =
+      dataset.filter_min_samples_per_mac(config.min_samples_per_mac);
+  return fit_and_sweep(prepared, estimator,
+                       geom::GridGeometry::with_resolution(volume, config.voxel_m), build_scope);
 }
 
 RadioEnvironmentMap build_rem(const data::Dataset& dataset, ml::ModelKind kind,

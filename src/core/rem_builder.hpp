@@ -17,9 +17,17 @@ struct RemBuilderConfig {
   std::size_t min_samples_per_mac = 16;  ///< The paper's preprocessing rule.
 };
 
-/// Builds a REM from a dataset with the given (unfitted) estimator. The
-/// estimator is fitted on the preprocessed dataset inside this call. Kriging
-/// estimators additionally populate per-cell uncertainty.
+/// Fits `estimator` on every row of `dataset` (no gate) and sweeps it over
+/// `grid`, one layer per MAC in the rows. Kriging estimators additionally
+/// populate per-cell uncertainty. A delta consumer, which knows the base
+/// REM's grid but not the voxel size, rebuilds through here.
+[[nodiscard]] RadioEnvironmentMap build_rem(const data::Dataset& dataset,
+                                            ml::Estimator& estimator,
+                                            const geom::GridGeometry& grid);
+
+/// Builds a REM from a dataset with the given (unfitted) estimator: gates
+/// the rows at config.min_samples_per_mac, then fits and sweeps as above on
+/// the grid of config.voxel_m cells over `volume`.
 [[nodiscard]] RadioEnvironmentMap build_rem(const data::Dataset& dataset,
                                             ml::Estimator& estimator, const geom::Aabb& volume,
                                             const RemBuilderConfig& config = {});

@@ -1,7 +1,6 @@
 #include "ingest/pipeline.hpp"
 
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,9 +83,10 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
   latest_delta_bytes_.clear();
   info.snapshot_bytes = latest_snapshot_bytes_.size();
 
-  // Epochs after the first ride as deltas when the pair is delta-able (it
-  // always is under the monotone gate; a geometry change falls back to a
-  // full emit).
+  // Epochs after the first ride as rows-only deltas when the pair is
+  // delta-able (it always is under the monotone gate and a fixed recipe; a
+  // model or grid change makes make_delta throw and falls back to a full
+  // emit).
   if (config_.emit_deltas && epoch_ > 1) {
     try {
       const store::SnapshotDelta delta =
@@ -106,16 +106,10 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
   if (!config_.out_dir.empty()) {
     if (info.delta) {
       info.delta_path = util::format("{}/delta-{}.delta", config_.out_dir, epoch_);
-      std::ofstream out(info.delta_path, std::ios::binary);
-      out.write(latest_delta_bytes_.data(),
-                static_cast<std::streamsize>(latest_delta_bytes_.size()));
-      if (!out) throw std::runtime_error("ingest: cannot write " + info.delta_path);
+      store::write_file(info.delta_path, latest_delta_bytes_);
     } else {
       info.snapshot_path = util::format("{}/epoch-{}.snap", config_.out_dir, epoch_);
-      std::ofstream out(info.snapshot_path, std::ios::binary);
-      out.write(latest_snapshot_bytes_.data(),
-                static_cast<std::streamsize>(latest_snapshot_bytes_.size()));
-      if (!out) throw std::runtime_error("ingest: cannot write " + info.snapshot_path);
+      store::write_file(info.snapshot_path, latest_snapshot_bytes_);
     }
   }
 

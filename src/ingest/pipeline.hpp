@@ -9,9 +9,10 @@
 // is rebuilt from the whole stream by store::build_snapshot (the gate, a
 // fresh estimator fitted on the shared exec pool, the REM sweep) and
 // emitted: the first epoch as a full REMSNAP1, later epochs additionally as
-// a REMDELT1 delta against the previous epoch (store/delta.hpp), both
-// CRC-checked. The snapshot is hot-published into a net::Server as a ready
-// QueryEngine tagged with the monotonic epoch id (surfaced in "stats" and
+// a rows-only REMDELT1 delta against the previous epoch (store/delta.hpp),
+// from which a consumer rebuilds the model and REM; both CRC-checked. The
+// snapshot is hot-published into a net::Server as a ready QueryEngine
+// tagged with the monotonic epoch id (surfaced in "stats" and
 // net.map.<name>.epoch).
 //
 // Determinism: every trigger depends only on the sample stream, never on

@@ -1,12 +1,10 @@
 #include "store/delta.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -32,78 +30,16 @@ std::string row_bytes(const data::Sample& s) {
   return std::string(w.buffer().data(), w.size());
 }
 
-/// Bitwise cell equality: byte-identity of the serialised raster is the
-/// contract, so comparisons must be on the f64 bit patterns, not ==.
-bool cells_equal(std::span<const core::RemCell> a, std::span<const core::RemCell> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i].rss_dbm) != std::bit_cast<std::uint64_t>(b[i].rss_dbm) ||
-        std::bit_cast<std::uint64_t>(a[i].sigma_db) !=
-            std::bit_cast<std::uint64_t>(b[i].sigma_db)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Bitwise grid equality between a REM and a patch's (unvalidated) grid.
-bool grid_equal(const geom::GridGeometry& g, const geom::Aabb& bounds, std::uint64_t nx,
-                std::uint64_t ny, std::uint64_t nz) {
-  const auto same = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+/// Bitwise grid equality: the consumer sweeps the base REM's grid, so it
+/// must be exactly the next epoch's.
+bool grid_equal(const geom::GridGeometry& a, const geom::GridGeometry& b) {
+  const auto same = [](const geom::Vec3& u, const geom::Vec3& v) {
+    return std::bit_cast<std::uint64_t>(u.x) == std::bit_cast<std::uint64_t>(v.x) &&
+           std::bit_cast<std::uint64_t>(u.y) == std::bit_cast<std::uint64_t>(v.y) &&
+           std::bit_cast<std::uint64_t>(u.z) == std::bit_cast<std::uint64_t>(v.z);
   };
-  return same(g.bounds().min.x, bounds.min.x) && same(g.bounds().min.y, bounds.min.y) &&
-         same(g.bounds().min.z, bounds.min.z) && same(g.bounds().max.x, bounds.max.x) &&
-         same(g.bounds().max.y, bounds.max.y) && same(g.bounds().max.z, bounds.max.z) &&
-         g.nx() == nx && g.ny() == ny && g.nz() == nz;
-}
-
-/// Resolves each patch MAC to its cell run — the shipped layer, else the
-/// base REM's — and checks the patch grid against them: it must equal the
-/// base REM's grid, and every run must hold exactly nx·ny·nz cells. With no
-/// base REM every MAC needs a shipped layer, so the grid is bounded by the
-/// cells actually shipped. Runs before any grid or REM is constructed, so a
-/// crafted patch can neither trip a precondition nor size an allocation.
-std::vector<std::span<const core::RemCell>> patch_layers(const DeltaRemPatch& patch,
-                                                         const Snapshot& base) {
-  if (patch.macs.empty()) throw std::runtime_error("delta: REM patch has no MACs");
-  if (base.rem.has_value() &&
-      !grid_equal(base.rem->geometry(), patch.bounds, patch.nx, patch.ny, patch.nz)) {
-    throw std::runtime_error("delta: REM patch grid differs from the base REM");
-  }
-  std::vector<std::span<const core::RemCell>> layers;
-  layers.reserve(patch.macs.size());
-  for (const radio::MacAddress& mac : patch.macs) {
-    const auto shipped = std::find_if(patch.layers.begin(), patch.layers.end(),
-                                      [&](const DeltaRemLayer& l) { return l.mac == mac; });
-    if (shipped != patch.layers.end()) {
-      layers.emplace_back(shipped->cells);
-      continue;
-    }
-    if (!base.rem.has_value()) {
-      throw std::runtime_error("delta: unchanged layer but base has no REM");
-    }
-    const auto& base_macs = base.rem->macs();
-    if (std::find(base_macs.begin(), base_macs.end(), mac) == base_macs.end()) {
-      throw std::runtime_error(
-          util::format("delta: unchanged layer for mac {} missing from base", mac.to_string()));
-    }
-    layers.push_back(base.rem->layer(mac));
-  }
-  // nx·ny·nz == cells, checked by division so no product can overflow.
-  const std::uint64_t cells = layers.front().size();
-  const std::uint64_t nx = patch.nx;
-  const std::uint64_t ny = patch.ny;
-  if (nx == 0 || ny == 0 || nx > cells || ny > cells / nx || cells % (nx * ny) != 0 ||
-      patch.nz != cells / (nx * ny)) {
-    throw std::runtime_error("delta: REM patch grid does not match its layers");
-  }
-  for (const std::span<const core::RemCell> layer : layers) {
-    if (layer.size() != cells) {
-      throw std::runtime_error("delta: layer cell count does not match the grid");
-    }
-  }
-  return layers;
+  return same(a.bounds().min, b.bounds().min) && same(a.bounds().max, b.bounds().max) &&
+         a.nx() == b.nx() && a.ny() == b.ny() && a.nz() == b.nz();
 }
 
 }  // namespace
@@ -117,12 +53,26 @@ std::uint32_t dataset_payload_crc(const Snapshot& snapshot) {
 SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64_t base_epoch,
                          std::uint64_t epoch) {
   REMGEN_SCOPE("store.make_delta");
+  if (base.model == nullptr || next.model == nullptr || !base.rem.has_value() ||
+      !next.rem.has_value()) {
+    throw std::runtime_error("delta: both epochs need a model and a REM");
+  }
+  // The consumer refits the base model's family and sweeps the base grid,
+  // so the recipe must not have changed between the epochs.
+  if (base.model->name() != next.model->name()) {
+    throw std::runtime_error(util::format("delta: model changed between epochs ({} -> {})",
+                                          base.model->name(), next.model->name()));
+  }
+  if (!grid_equal(base.rem->geometry(), next.rem->geometry())) {
+    throw std::runtime_error("delta: REM grid geometry changed between epochs");
+  }
   SnapshotDelta delta;
   delta.base_epoch = base_epoch;
   delta.epoch = epoch;
   delta.base_rows = base.dataset.size();
   delta.base_dataset_crc = dataset_payload_crc(base);
   delta.final_rows = next.dataset.size();
+  delta.model_name = base.model->name();
 
   // The monotone gate means base rows appear in next in the same relative
   // order; a greedy subsequence walk recovers the inserted rows and their
@@ -144,45 +94,19 @@ SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64
                      "({} of {} base rows matched)",
                      b, base_rows.size()));
   }
-
-  if (next.model != nullptr) {
-    util::BinaryWriter w;
-    ml::save_model(w, *next.model);
-    delta.model_bytes.assign(w.buffer().data(), w.size());
-  }
-
-  if (next.rem.has_value()) {
-    const core::RadioEnvironmentMap& next_rem = *next.rem;
-    const geom::GridGeometry& g = next_rem.geometry();
-    if (base.rem.has_value() &&
-        !grid_equal(base.rem->geometry(), g.bounds(), g.nx(), g.ny(), g.nz())) {
-      throw std::runtime_error("delta: REM grid geometry changed between epochs");
-    }
-    DeltaRemPatch patch;
-    patch.bounds = g.bounds();
-    patch.nx = g.nx();
-    patch.ny = g.ny();
-    patch.nz = g.nz();
-    patch.macs = next_rem.macs();
-    for (const radio::MacAddress& mac : patch.macs) {
-      const std::span<const core::RemCell> cells = next_rem.layer(mac);
-      bool changed = true;
-      if (base.rem.has_value()) {
-        const auto& base_macs = base.rem->macs();
-        const bool in_base =
-            std::find(base_macs.begin(), base_macs.end(), mac) != base_macs.end();
-        if (in_base) changed = !cells_equal(cells, base.rem->layer(mac));
-      }
-      if (changed) patch.layers.push_back(DeltaRemLayer{mac, {cells.begin(), cells.end()}});
-    }
-    delta.rem = std::move(patch);
-  }
   REMGEN_COUNTER_ADD("store.delta.makes", 1);
   return delta;
 }
 
 Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
   REMGEN_SCOPE("store.apply_delta");
+  if (base.model == nullptr || !base.rem.has_value()) {
+    throw std::runtime_error("delta: base has no model or no REM to rebuild from");
+  }
+  if (base.model->name() != delta.model_name) {
+    throw std::runtime_error(util::format("delta: base model is {}, delta expects {}",
+                                          base.model->name(), delta.model_name));
+  }
   if (base.dataset.size() != delta.base_rows) {
     throw std::runtime_error(util::format("delta: base has {} rows, delta expects {}",
                                           base.dataset.size(), delta.base_rows));
@@ -190,7 +114,7 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
   if (dataset_payload_crc(base) != delta.base_dataset_crc) {
     throw std::runtime_error("delta: base dataset CRC mismatch (wrong base snapshot)");
   }
-  if (delta.base_rows + delta.added_rows.size() != delta.final_rows) {
+  if (delta.base_rows + delta.added_rows.size() != delta.final_rows || delta.final_rows == 0) {
     throw std::runtime_error("delta: row counts are inconsistent");
   }
 
@@ -213,21 +137,14 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
     out.dataset = data::Dataset(std::move(rows));
   }
 
-  if (!delta.model_bytes.empty()) {
-    util::BinaryReader r(delta.model_bytes);
-    out.model = ml::load_model(r);
-  }
-
-  if (delta.rem.has_value()) {
-    const DeltaRemPatch& patch = *delta.rem;
-    const std::vector<std::span<const core::RemCell>> layers = patch_layers(patch, base);
-    core::RadioEnvironmentMap rem(
-        geom::GridGeometry(patch.bounds, patch.nx, patch.ny, patch.nz), patch.macs);
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      std::copy(layers[i].begin(), layers[i].end(), rem.field(patch.macs[i]).values().begin());
-    }
-    out.rem.emplace(std::move(rem));
-  }
+  // The producer's recipe, on the consumer: a fresh estimator of the base
+  // model's configuration (a save/load clone; fit() depends only on that and
+  // the rows) fitted on the merged rows, swept over the base grid.
+  util::BinaryWriter clone_bytes;
+  ml::save_model(clone_bytes, *base.model);
+  util::BinaryReader reader(clone_bytes.buffer());
+  out.model = ml::load_model(reader);
+  out.rem.emplace(core::build_rem(out.dataset, *out.model, base.rem->geometry()));
   REMGEN_COUNTER_ADD("store.delta.applies", 1);
   return out;
 }
@@ -240,8 +157,6 @@ void save_delta(std::ostream& out, const SnapshotDelta& delta) {
 
   std::uint32_t sections = 1;  // Meta is always present.
   if (!delta.added_rows.empty()) ++sections;
-  if (!delta.model_bytes.empty()) ++sections;
-  if (delta.rem.has_value()) ++sections;
   w.u32(sections);
 
   {
@@ -251,6 +166,7 @@ void save_delta(std::ostream& out, const SnapshotDelta& delta) {
     payload.u64(delta.base_rows);
     payload.u32(delta.base_dataset_crc);
     payload.u64(delta.final_rows);
+    payload.str(delta.model_name);
     write_section(w, DeltaSectionId::Meta, payload);
   }
   if (!delta.added_rows.empty()) {
@@ -261,36 +177,6 @@ void save_delta(std::ostream& out, const SnapshotDelta& delta) {
       write_sample_row(payload, row.sample);
     }
     write_section(w, DeltaSectionId::DatasetRows, payload);
-  }
-  if (!delta.model_bytes.empty()) {
-    util::BinaryWriter payload;
-    payload.bytes(delta.model_bytes.data(), delta.model_bytes.size());
-    write_section(w, DeltaSectionId::Model, payload);
-  }
-  if (delta.rem.has_value()) {
-    const DeltaRemPatch& patch = *delta.rem;
-    util::BinaryWriter payload;
-    payload.f64(patch.bounds.min.x);
-    payload.f64(patch.bounds.min.y);
-    payload.f64(patch.bounds.min.z);
-    payload.f64(patch.bounds.max.x);
-    payload.f64(patch.bounds.max.y);
-    payload.f64(patch.bounds.max.z);
-    payload.u64(patch.nx);
-    payload.u64(patch.ny);
-    payload.u64(patch.nz);
-    payload.u64(patch.macs.size());
-    for (const radio::MacAddress& mac : patch.macs) ml::save_mac(payload, mac);
-    payload.u64(patch.layers.size());
-    for (const DeltaRemLayer& layer : patch.layers) {
-      ml::save_mac(payload, layer.mac);
-      payload.u64(layer.cells.size());
-      for (const core::RemCell& cell : layer.cells) {
-        payload.f64(cell.rss_dbm);
-        payload.f64(cell.sigma_db);
-      }
-    }
-    write_section(w, DeltaSectionId::RemPatch, payload);
   }
 
   out.write(w.buffer().data(), static_cast<std::streamsize>(w.size()));
@@ -333,6 +219,7 @@ SnapshotDelta load_delta(std::istream& in) {
         delta.base_rows = section.u64();
         delta.base_dataset_crc = section.u32();
         delta.final_rows = section.u64();
+        delta.model_name = section.str();
         break;
       case DeltaSectionId::DatasetRows: {
         delta.added_rows.resize(section.count(8 + kSampleRowMinBytes));
@@ -340,34 +227,6 @@ SnapshotDelta load_delta(std::istream& in) {
           row.position = section.u64();
           row.sample = read_sample_row(section);
         }
-        break;
-      }
-      case DeltaSectionId::Model:
-        delta.model_bytes.assign(payload.data(), payload.size());
-        break;
-      case DeltaSectionId::RemPatch: {
-        DeltaRemPatch patch;
-        patch.bounds.min.x = section.f64();
-        patch.bounds.min.y = section.f64();
-        patch.bounds.min.z = section.f64();
-        patch.bounds.max.x = section.f64();
-        patch.bounds.max.y = section.f64();
-        patch.bounds.max.z = section.f64();
-        patch.nx = section.u64();
-        patch.ny = section.u64();
-        patch.nz = section.u64();
-        patch.macs.resize(section.count(ml::kMacBytes));
-        for (radio::MacAddress& mac : patch.macs) mac = ml::load_mac(section);
-        patch.layers.resize(section.count(ml::kMacBytes + 8));
-        for (DeltaRemLayer& layer : patch.layers) {
-          layer.mac = ml::load_mac(section);
-          layer.cells.resize(section.count(16));
-          for (core::RemCell& cell : layer.cells) {
-            cell.rss_dbm = section.f64();
-            cell.sigma_db = section.f64();
-          }
-        }
-        delta.rem = std::move(patch);
         break;
       }
       default: break;  // Unknown section from a newer writer: CRC-checked, skipped.
@@ -378,9 +237,9 @@ SnapshotDelta load_delta(std::istream& in) {
 }
 
 void save_delta_file(const std::string& path, const SnapshotDelta& delta) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error(util::format("delta: cannot open '{}' for write", path));
+  std::ostringstream out;
   save_delta(out, delta);
+  write_file(path, std::move(out).str());
 }
 
 SnapshotDelta load_delta_file(const std::string& path) {

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
@@ -184,9 +185,16 @@ Snapshot load_snapshot(std::istream& in) {
 }
 
 void save_snapshot_file(const std::string& path, const Snapshot& snapshot) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error(util::format("snapshot: cannot open '{}' for write", path));
+  std::ostringstream out;
   save_snapshot(out, snapshot);
+  write_file(path, std::move(out).str());
+}
+
+void write_file(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  if (!out) throw std::runtime_error(util::format("cannot write '{}'", path));
 }
 
 std::optional<Snapshot> build_snapshot(const data::Dataset& raw, ml::ModelKind kind,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/rem.hpp"
 #include "core/rem_builder.hpp"
@@ -74,8 +75,15 @@ void save_snapshot(std::ostream& out, const Snapshot& snapshot);
                                                      const geom::Aabb& volume,
                                                      const core::RemBuilderConfig& config);
 
-/// save_snapshot to a file; throws std::runtime_error if unwritable.
+/// save_snapshot to a file (through write_file); throws std::runtime_error
+/// if unwritable.
 void save_snapshot_file(const std::string& path, const Snapshot& snapshot);
+
+/// Writes `bytes` to `path`, closes the file and only then checks it, so a
+/// payload small enough to sit in the stream buffer still reports a failed
+/// write (a full disk) as std::runtime_error. The one writer for snapshot
+/// and delta files.
+void write_file(const std::string& path, std::string_view bytes);
 
 /// load_snapshot from a file; throws std::runtime_error if unreadable.
 [[nodiscard]] Snapshot load_snapshot_file(const std::string& path);

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/rem_builder.hpp"
@@ -21,6 +22,7 @@
 #include "ml/model_zoo.hpp"
 #include "store/delta.hpp"
 #include "store/snapshot.hpp"
+#include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
 namespace remgen::ingest {
@@ -237,12 +239,27 @@ TwoEpochs make_two_epochs(const std::vector<data::Sample>& samples, std::size_t 
   return out;
 }
 
+/// The section ids of a serialised REMDELT1, in file order.
+std::vector<std::uint32_t> delta_section_ids(const std::string& bytes) {
+  util::BinaryReader r(bytes);
+  (void)r.view(store::kDeltaMagic.size());
+  (void)r.u32();  // Version.
+  std::vector<std::uint32_t> ids(r.u32());
+  for (std::uint32_t& id : ids) {
+    id = r.u32();
+    (void)r.view(r.u64() + 4);  // CRC + payload.
+  }
+  return ids;
+}
+
 TEST_F(IngestPipelineTest, IngestDeltaReplayReconstructsNextEpochByteIdentically) {
   const std::vector<data::Sample> samples = synthetic_stream(24, 3);
   IngestConfig config = test_config();
   config.rem.min_samples_per_mac = 16;
   const TwoEpochs epochs = make_two_epochs(samples, 48, config);
   EXPECT_LT(epochs.delta2.size(), epochs.snap2.size());  // Base rows are not resent.
+  // Rows only: the model and the REM are rebuilt on the consumer.
+  EXPECT_EQ(delta_section_ids(epochs.delta2), (std::vector<std::uint32_t>{1, 2}));
 
   std::istringstream snap_in(epochs.snap1);
   const store::Snapshot base = store::load_snapshot(snap_in);
@@ -259,10 +276,10 @@ TEST_F(IngestPipelineTest, IngestDeltaReplayReconstructsNextEpochByteIdentically
   EXPECT_EQ(std::move(out).str(), epochs.snap2);
 }
 
-TEST_F(IngestPipelineTest, IngestDeltaHandlesLateQualifyingMacMidStreamInserts) {
-  // MAC C is interleaved but below the gate in epoch 1 (10 < 16); epoch 2
-  // pushes it over, so its *early* rows become mid-stream insertions the
-  // delta's position encoding must replay exactly.
+/// 46 samples: with the 16-sample gate and the first 30 in epoch 1, MAC A
+/// qualifies in epoch 1 (20 rows) while MAC C, interleaved from the start,
+/// stays below it (10 rows) until epoch 2 (A=28, C=18).
+std::vector<data::Sample> late_qualifying_stream() {
   util::Rng rng(31);
   std::vector<data::Sample> samples;
   double t = 0.0;
@@ -279,12 +296,18 @@ TEST_F(IngestPipelineTest, IngestDeltaHandlesLateQualifyingMacMidStreamInserts) 
     add(kMacA);
     add(kMacC);
     add(kMacA);
-  }  // Epoch 1: A=20 (qualified), C=10 (dropped).
+  }
   for (std::size_t i = 0; i < 8; ++i) {
     add(kMacC);
     add(kMacA);
-  }  // Epoch 2: A=28, C=18 — both qualified.
+  }
+  return samples;
+}
 
+TEST_F(IngestPipelineTest, IngestDeltaHandlesLateQualifyingMacMidStreamInserts) {
+  // MAC C's *early* rows become mid-stream insertions in epoch 2, which the
+  // delta's position encoding must replay exactly.
+  const std::vector<data::Sample> samples = late_qualifying_stream();
   IngestConfig config = test_config();
   config.rem.min_samples_per_mac = 16;
   const TwoEpochs epochs = make_two_epochs(samples, 30, config);
@@ -349,6 +372,71 @@ TEST_F(IngestPipelineTest, IngestDeltaRejectsCorruptionAndWrongBase) {
   const store::Snapshot wrong_base = store::load_snapshot(snap2_in);
   EXPECT_THROW((void)store::apply_delta(wrong_base, delta), std::runtime_error);
 }
+
+TEST_F(IngestPipelineTest, RecipeChangeFallsBackToAFullSnapshot) {
+  const std::vector<data::Sample> samples = synthetic_stream(20, 19);
+  IngestConfig config = test_config();
+  config.out_dir = ::testing::TempDir() + "ingest_recipe_change";
+  IngestPipeline pipeline(config);
+  pipeline.push_batch(std::span<const data::Sample>(samples.data(), 30));
+  ASSERT_TRUE(pipeline.flush().has_value());
+
+  // The pipeline has no option to change its recipe mid-stream; editing its
+  // (non-const) config in place makes the next pair not delta-able, so
+  // make_delta throws and the epoch must ship whole.
+  const_cast<IngestConfig&>(pipeline.config()).model = ml::ModelKind::PerMacKnn;
+  pipeline.push_batch(std::span<const data::Sample>(samples.data() + 30, samples.size() - 30));
+  const std::optional<EpochInfo> info = pipeline.flush();
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->epoch, 2u);
+  EXPECT_FALSE(info->delta);
+  EXPECT_TRUE(pipeline.latest_delta_bytes().empty());
+  EXPECT_EQ(info->snapshot_path, config.out_dir + "/epoch-2.snap");
+  EXPECT_EQ(read_file(info->snapshot_path), pipeline.latest_snapshot_bytes());
+}
+
+// --- Replay holds for every model family at any width --------------------
+// apply_delta refits a clone of the base model on the merged rows, so every
+// family's fit() must depend only on its configuration and its rows.
+
+class IngestDeltaReplay
+    : public ::testing::TestWithParam<std::tuple<ml::ModelKind, std::size_t>> {
+ protected:
+  void SetUp() override {
+    previous_threads_ = exec::thread_count();
+    exec::set_thread_count(std::get<1>(GetParam()));
+  }
+  void TearDown() override { exec::set_thread_count(previous_threads_); }
+  std::size_t previous_threads_ = 1;
+};
+
+TEST_P(IngestDeltaReplay, RebuildsTheNextEpochByteIdentically) {
+  const std::vector<data::Sample> samples = late_qualifying_stream();
+  IngestConfig config = test_config();
+  config.model = std::get<0>(GetParam());
+  config.rem.min_samples_per_mac = 16;
+  const TwoEpochs epochs = make_two_epochs(samples, 30, config);
+
+  std::istringstream snap_in(epochs.snap1);
+  const store::Snapshot base = store::load_snapshot(snap_in);
+  std::istringstream delta_in(epochs.delta2);
+  const store::Snapshot applied = store::apply_delta(base, store::load_delta(delta_in));
+  std::ostringstream out;
+  store::save_snapshot(out, applied);
+  EXPECT_EQ(std::move(out).str(), epochs.snap2);
+  EXPECT_EQ(epochs.snap2, batch_bytes(samples, config));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModelsAtOneAndFourThreads, IngestDeltaReplay,
+                         ::testing::Combine(::testing::ValuesIn(ml::all_model_kinds(true)),
+                                            ::testing::Values(std::size_t{1}, std::size_t{4})),
+                         [](const auto& info) {
+                           std::string name = ml::model_kind_name(std::get<0>(info.param));
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name + "_threads" + std::to_string(std::get<1>(info.param));
+                         });
 
 /// Collects every pushed sample, in order.
 struct CollectingSink final : data::SampleSink {

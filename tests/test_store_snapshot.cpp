@@ -107,13 +107,16 @@ INSTANTIATE_TEST_SUITE_P(AllZooModels, StoreModelRoundTrip,
 
 // --- Snapshot container ------------------------------------------------
 
-Snapshot make_snapshot(ml::ModelKind kind = ml::ModelKind::PerMacKnn) {
-  const data::Dataset ds = synthetic_dataset();
+/// synthetic_dataset(per_mac) is a prefix of every longer one, so snapshots
+/// of the same kind from fewer and more rows form a delta-able epoch pair.
+Snapshot make_snapshot(ml::ModelKind kind = ml::ModelKind::PerMacKnn, std::size_t per_mac = 40,
+                       double voxel_m = 0.5) {
+  const data::Dataset ds = synthetic_dataset(per_mac);
   Snapshot snapshot;
   snapshot.dataset = ds.filter_min_samples_per_mac(1);
   auto model = ml::make_model(kind);
   core::RemBuilderConfig config;
-  config.voxel_m = 0.5;
+  config.voxel_m = voxel_m;
   config.min_samples_per_mac = 1;
   snapshot.rem.emplace(
       core::build_rem(ds, *model, geom::Aabb({0, 0, 0}, {4.0, 3.0, 2.0}), config));
@@ -348,11 +351,11 @@ TEST(StoreSnapshot, UnknownSectionWithBadCrcStillThrows) {
 constexpr std::uint64_t kInflatedCount = std::uint64_t{1} << 40;
 
 /// One CRC-valid section around `payload`, in a snapshot or delta container.
-std::string one_section_file(std::string_view magic, std::uint32_t id,
+std::string one_section_file(std::string_view magic, std::uint32_t version, std::uint32_t id,
                              const util::BinaryWriter& payload) {
   util::BinaryWriter w;
   w.bytes(magic.data(), magic.size());
-  w.u32(1);  // version
+  w.u32(version);
   w.u32(1);  // section count
   w.u32(id);
   w.u64(payload.size());
@@ -374,7 +377,7 @@ TEST(StoreSnapshot, InflatedSampleCountIsRejected) {
   util::BinaryWriter payload;
   payload.u64(kInflatedCount);
   const std::string bytes =
-      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Dataset), payload);
+      one_section_file(kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Dataset), payload);
   expect_count_rejected([&] { (void)load_bytes(bytes); });
 }
 
@@ -388,7 +391,7 @@ TEST(StoreSnapshot, InflatedRemGridIsRejected) {
   payload.u64(1);
   ml::save_mac(payload, *radio::MacAddress::parse(kMacA));
   const std::string bytes =
-      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Rem), payload);
+      one_section_file(kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Rem), payload);
   expect_count_rejected([&] { (void)load_bytes(bytes); });
 }
 
@@ -397,7 +400,7 @@ TEST(StoreSnapshot, InflatedNeuralNetLayerCountIsRejected) {
   payload.str("neural-net");
   payload.u64(kInflatedCount);  // hidden layer sizes
   const std::string bytes =
-      one_section_file(kSnapshotMagic, static_cast<std::uint32_t>(SectionId::Model), payload);
+      one_section_file(kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Model), payload);
   expect_count_rejected([&] { (void)load_bytes(bytes); });
 }
 
@@ -405,14 +408,15 @@ TEST(StoreDelta, InflatedRowCountIsRejected) {
   util::BinaryWriter payload;
   payload.u64(kInflatedCount);
   const std::string bytes = one_section_file(
-      kDeltaMagic, static_cast<std::uint32_t>(DeltaSectionId::DatasetRows), payload);
+      kDeltaMagic, kDeltaVersion, static_cast<std::uint32_t>(DeltaSectionId::DatasetRows),
+      payload);
   expect_count_rejected([&] {
     std::istringstream in(bytes);
     (void)load_delta(in);
   });
 }
 
-// --- apply_delta bounds a crafted REM patch grid before building it ------
+// --- Rows-only deltas: the consumer rebuilds with the base's recipe -----
 
 /// `delta` through the wire format (CRC-valid bytes), then applied to `base`.
 Snapshot apply_via_bytes(const Snapshot& base, const SnapshotDelta& delta) {
@@ -422,57 +426,77 @@ Snapshot apply_via_bytes(const Snapshot& base, const SnapshotDelta& delta) {
   return apply_delta(base, load_delta(in));
 }
 
-/// A real epoch-to-epoch delta whose REM patch `tamper` then edits.
-void expect_patch_rejected(bool base_has_rem,
-                           const std::function<void(DeltaRemPatch&)>& tamper) {
-  Snapshot base = make_snapshot();
-  if (!base_has_rem) base.rem.reset();
-  const Snapshot next = make_snapshot(ml::ModelKind::KnnScaled16);
-  SnapshotDelta delta = make_delta(base, next, 1, 2);
-  ASSERT_TRUE(delta.rem.has_value());
-  ASSERT_EQ(delta.rem->layers.size(), delta.rem->macs.size());
-  tamper(*delta.rem);
-  EXPECT_THROW((void)apply_via_bytes(base, delta), std::runtime_error);
-}
-
 TEST(StoreDelta, UntamperedPatchReplaysOntoEitherBase) {
-  for (const bool base_has_rem : {true, false}) {
-    Snapshot base = make_snapshot();
-    if (!base_has_rem) base.rem.reset();
-    const Snapshot next = make_snapshot(ml::ModelKind::KnnScaled16);
-    const Snapshot applied = apply_via_bytes(base, make_delta(base, next, 1, 2));
-    EXPECT_EQ(snapshot_bytes(applied), snapshot_bytes(next));
+  // The same delta replays onto the in-memory base and onto that base
+  // reloaded from its REMSNAP1 bytes.
+  const Snapshot base = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  const Snapshot next = make_snapshot(ml::ModelKind::PerMacKnn);
+  const SnapshotDelta delta = make_delta(base, next, 1, 2);
+  EXPECT_EQ(delta.added_rows.size(), next.dataset.size() - base.dataset.size());
+  EXPECT_EQ(snapshot_bytes(apply_via_bytes(base, delta)), snapshot_bytes(next));
+  EXPECT_EQ(snapshot_bytes(apply_via_bytes(load_bytes(snapshot_bytes(base)), delta)),
+            snapshot_bytes(next));
+}
+
+TEST(StoreDelta, MakeDeltaThrowsWhenTheRecipeChanges) {
+  const Snapshot base = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  // Another model family: the consumer would refit the wrong estimator.
+  EXPECT_THROW((void)make_delta(base, make_snapshot(ml::ModelKind::KnnScaled16), 1, 2),
+               std::runtime_error);
+  // Another grid: the consumer would sweep the wrong voxels.
+  EXPECT_THROW(
+      (void)make_delta(base, make_snapshot(ml::ModelKind::PerMacKnn, 40, 0.25), 1, 2),
+      std::runtime_error);
+  // Nothing to rebuild from.
+  Snapshot no_rem = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  no_rem.rem.reset();
+  EXPECT_THROW((void)make_delta(no_rem, make_snapshot(), 1, 2), std::runtime_error);
+}
+
+TEST(StoreDelta, ApplyDeltaThrowsOnABaseItCannotRebuildFrom) {
+  const Snapshot next = make_snapshot();
+  const SnapshotDelta delta = make_delta(make_snapshot(ml::ModelKind::PerMacKnn, 20), next, 1, 2);
+
+  Snapshot no_model = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  no_model.model.reset();
+  EXPECT_THROW((void)apply_via_bytes(no_model, delta), std::runtime_error);
+
+  Snapshot no_rem = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  no_rem.rem.reset();
+  EXPECT_THROW((void)apply_via_bytes(no_rem, delta), std::runtime_error);
+
+  // Same rows (so the dataset CRC matches), another model family.
+  Snapshot other_model = make_snapshot(ml::ModelKind::PerMacKnn, 20);
+  other_model.model = ml::make_model(ml::ModelKind::KnnScaled16);
+  EXPECT_THROW((void)apply_via_bytes(other_model, delta), std::runtime_error);
+}
+
+TEST(StoreDelta, VersionOneIsRejected) {
+  const SnapshotDelta delta =
+      make_delta(make_snapshot(ml::ModelKind::PerMacKnn, 20), make_snapshot(), 1, 2);
+  std::ostringstream out;
+  save_delta(out, delta);
+  std::string bytes = out.str();
+  bytes[8] = 1;  // Version field follows the 8-byte magic (little-endian).
+  std::istringstream in(bytes);
+  try {
+    (void)load_delta(in);
+    ADD_FAILURE() << "a version 1 delta was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
   }
 }
 
-TEST(StoreDelta, ZeroPatchAxisIsRejected) {
-  for (const bool base_has_rem : {true, false}) {
-    expect_patch_rejected(base_has_rem, [](DeltaRemPatch& patch) { patch.ny = 0; });
-  }
-}
+// --- File writers report a full disk ------------------------------------
 
-TEST(StoreDelta, InflatedPatchAxisIsRejected) {
-  // 2^50 cells per MAC if believed: the grid must be checked against the
-  // base REM or the shipped layers before anything is allocated.
-  for (const bool base_has_rem : {true, false}) {
-    expect_patch_rejected(base_has_rem, [](DeltaRemPatch& patch) {
-      patch.nx = std::uint64_t{1} << 20;
-      patch.ny = std::uint64_t{1} << 20;
-      patch.nz = std::uint64_t{1} << 10;
-    });
-  }
-}
-
-TEST(StoreDelta, PatchGridMustMatchTheBaseRem) {
-  // Same cell count, different shape or bounds: still not the base grid.
-  expect_patch_rejected(true, [](DeltaRemPatch& patch) { std::swap(patch.nx, patch.ny); });
-  expect_patch_rejected(true, [](DeltaRemPatch& patch) { patch.bounds.max.x += 1.0; });
-}
-
-TEST(StoreDelta, PatchWithoutBaseRemMustShipEveryLayer) {
-  expect_patch_rejected(false, [](DeltaRemPatch& patch) { patch.layers.pop_back(); });
-  expect_patch_rejected(false, [](DeltaRemPatch& patch) { patch.macs.clear(); });
-  expect_patch_rejected(true, [](DeltaRemPatch& patch) { patch.macs.clear(); });
+TEST(StoreFiles, SmallWritesToAFullDiskThrow) {
+  // Both payloads fit the stream buffer, so the failure only shows at close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this system";
+  EXPECT_THROW(save_snapshot_file("/dev/full", Snapshot{}), std::runtime_error);
+  SnapshotDelta delta;
+  delta.final_rows = 1;
+  delta.added_rows.push_back(DeltaRow{0, make_sample(1.0, 1.0, 1.0, kMacA, -60.0)});
+  EXPECT_THROW(save_delta_file("/dev/full", delta), std::runtime_error);
 }
 
 }  // namespace

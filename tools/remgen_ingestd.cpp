@@ -20,14 +20,15 @@
 // Epochs: every trigger (--epoch-samples / --epoch-seconds of sample time /
 // end-of-input flush) refits the model, re-rasterises the REM, and emits a
 // versioned snapshot into --out-dir — epoch 1 as a full REMSNAP1, later
-// epochs as CRC-checked REMDELT1 deltas replayable on top of their base
-// (store::load_delta / apply_delta). With --serve, each epoch is also
-// hot-published into the embedded net::Server with zero dropped in-flight
-// requests; the current epoch id is visible in the "stats" admin response
-// and the net.map.<name>.epoch gauge. With --follow the daemon keeps
-// polling for appended rows until SIGTERM/SIGINT; without it, ingestion
-// stops at end-of-input (and --serve keeps serving the final epoch until a
-// signal arrives).
+// epochs as CRC-checked REMDELT1 deltas that carry only the inserted rows;
+// store::load_delta / apply_delta replays one onto its base by refitting
+// the base's model on the merged rows and re-sweeping its grid. With
+// --serve, each epoch is also hot-published into the embedded net::Server
+// with zero dropped in-flight requests; the current epoch id is visible in
+// the "stats" admin response and the net.map.<name>.epoch gauge. With
+// --follow the daemon keeps polling for appended rows until SIGTERM/SIGINT;
+// without it, ingestion stops at end-of-input (and --serve keeps serving
+// the final epoch until a signal arrives).
 #include <atomic>
 #include <chrono>
 #include <csignal>
