@@ -1,6 +1,9 @@
 #include "store/snapshot.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -26,18 +29,40 @@ void write_sample_row(util::BinaryWriter& w, const data::Sample& s) {
   w.i64(s.waypoint_index);
 }
 
+namespace {
+
+// The CSV/JSONL row rule (data/sample_io.cpp): a non-finite coordinate, RSS
+// or timestamp is garbage, and an integer field must fit an int.
+double finite_field(util::BinaryReader& r, const char* field) {
+  const double value = r.f64();
+  if (!std::isfinite(value)) {
+    throw std::runtime_error(util::format("sample row: non-finite {}", field));
+  }
+  return value;
+}
+
+int int_field(util::BinaryReader& r, const char* field) {
+  const std::int64_t value = r.i64();
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    throw std::runtime_error(util::format("sample row: {} {} out of int range", field, value));
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
 data::Sample read_sample_row(util::BinaryReader& r) {
   data::Sample s;
-  s.position.x = r.f64();
-  s.position.y = r.f64();
-  s.position.z = r.f64();
+  s.position.x = finite_field(r, "x");
+  s.position.y = finite_field(r, "y");
+  s.position.z = finite_field(r, "z");
   s.ssid = r.str();
-  s.rss_dbm = r.f64();
+  s.rss_dbm = finite_field(r, "rss_dbm");
   s.mac = ml::load_mac(r);
-  s.channel = static_cast<int>(r.i64());
-  s.timestamp_s = r.f64();
-  s.uav_id = static_cast<int>(r.i64());
-  s.waypoint_index = static_cast<int>(r.i64());
+  s.channel = int_field(r, "channel");
+  s.timestamp_s = finite_field(r, "timestamp_s");
+  s.uav_id = int_field(r, "uav_id");
+  s.waypoint_index = int_field(r, "waypoint_index");
   return s;
 }
 

@@ -81,8 +81,8 @@ void save_snapshot_file(const std::string& path, const Snapshot& snapshot);
 
 /// Writes `bytes` to `path`, closes the file and only then checks it, so a
 /// payload small enough to sit in the stream buffer still reports a failed
-/// write (a full disk) as std::runtime_error. The one writer for snapshot
-/// and delta files.
+/// write (a full disk) as std::runtime_error. The one checked file writer:
+/// snapshot and delta files, and the CLIs' CSV and response outputs.
 void write_file(const std::string& path, std::string_view bytes);
 
 /// load_snapshot from a file; throws std::runtime_error if unreadable.
@@ -94,6 +94,8 @@ void write_file(const std::string& path, std::string_view bytes);
 /// and a 6-byte MAC.
 inline constexpr std::size_t kSampleRowMinBytes = 9 * 8 + 6;
 void write_sample_row(util::BinaryWriter& w, const data::Sample& s);
+/// Applies the CSV row rule: throws std::runtime_error naming the field for
+/// a non-finite coordinate, RSS or timestamp, or an integer field outside int.
 [[nodiscard]] data::Sample read_sample_row(util::BinaryReader& r);
 void write_dataset_payload(util::BinaryWriter& w, const data::Dataset& dataset);
 

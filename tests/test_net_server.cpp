@@ -1,6 +1,6 @@
 // In-process tests for the net::Server event loop: pipelined in-order
-// delivery, admission control, named maps, admin stats, hot reload with zero
-// dropped in-flight requests, and graceful drain.
+// delivery, admission control, the request-line bound, named maps, admin
+// stats, hot reload with zero dropped in-flight requests, and graceful drain.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -505,6 +505,28 @@ TEST_F(NetServerTest, OverloadedRequestsGetErrorsNotUnboundedQueueing) {
   EXPECT_GT(overloaded, 0u);
   EXPECT_LT(overloaded, static_cast<std::size_t>(kBurst));  // Some were served.
   EXPECT_EQ(harness.server().stats().overload_rejections, overloaded);
+}
+
+TEST_F(NetServerTest, OversizeRequestLineClosesOnlyItsOwnConnection) {
+  const std::shared_ptr<const serve::QueryEngine> engine = make_engine();
+  ServerConfig config;
+  config.max_line_bytes = 4096;
+  ServerHarness harness(std::move(config));
+  harness.server().add_engine("default", engine);
+  const std::uint16_t port = harness.start();
+
+  Client oversize(port);
+  Client bystander(port);
+  ASSERT_TRUE(oversize.connected());
+  ASSERT_TRUE(bystander.connected());
+  oversize.send_all(std::string(8192, 'x'));  // 8 KiB, no newline.
+  EXPECT_TRUE(oversize.wait_eof());
+
+  const std::string request = point_line(7, 1.5);
+  bystander.send_all(request);
+  const std::vector<std::string> lines = bystander.read_lines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], engine->execute(serve::parse_request(request)).to_jsonl());
 }
 
 TEST_F(NetServerTest, HotReloadSwapsWithZeroDroppedRequests) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -414,6 +415,79 @@ TEST(StoreDelta, InflatedRowCountIsRejected) {
     std::istringstream in(bytes);
     (void)load_delta(in);
   });
+}
+
+// --- Decoded rows obey the CSV row rule: a CRC-valid file carrying a
+// --- non-finite double or an integer field beyond int is rejected.
+
+void expect_row_rejected(const std::function<void()>& load, const std::string& field) {
+  try {
+    load();
+    ADD_FAILURE() << "a bad " << field << " row was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+/// The bad rows, each with the field it breaks.
+std::vector<std::pair<data::Sample, std::string>> bad_rows() {
+  std::vector<std::pair<data::Sample, std::string>> rows;
+  rows.emplace_back(make_sample(1.0, 1.0, 1.0, kMacA, std::nan("")), "rss_dbm");
+  rows.emplace_back(make_sample(HUGE_VAL, 1.0, 1.0, kMacA, -60.0), "x");
+  rows.emplace_back(make_sample(1.0, 1.0, -HUGE_VAL, kMacA, -60.0), "z");
+  data::Sample late = make_sample(1.0, 1.0, 1.0, kMacA, -60.0);
+  late.timestamp_s = std::nan("");
+  rows.emplace_back(late, "timestamp_s");
+  return rows;
+}
+
+TEST(StoreSnapshot, NonFiniteRowIsRejected) {
+  for (const auto& [row, field] : bad_rows()) {
+    data::Dataset ds = synthetic_dataset(5);
+    ds.add(row);
+    Snapshot snapshot;
+    snapshot.dataset = std::move(ds);
+    const std::string bytes = snapshot_bytes(snapshot);
+    expect_row_rejected([&] { (void)load_bytes(bytes); }, field);
+  }
+}
+
+TEST(StoreDelta, NonFiniteRowIsRejected) {
+  for (const auto& [row, field] : bad_rows()) {
+    SnapshotDelta delta;
+    delta.final_rows = 1;
+    delta.added_rows.push_back(DeltaRow{0, row});
+    std::ostringstream out;
+    save_delta(out, delta);
+    const std::string bytes = out.str();
+    expect_row_rejected(
+        [&] {
+          std::istringstream in(bytes);
+          (void)load_delta(in);
+        },
+        field);
+  }
+}
+
+TEST(StoreSnapshot, IntegerFieldBeyondIntIsRejected) {
+  // write_sample_row stores the int fields as i64; a hand-written row can
+  // carry a value that would silently truncate.
+  for (const std::string field : {"channel", "uav_id", "waypoint_index"}) {
+    util::BinaryWriter payload;
+    payload.u64(1);  // rows
+    for (int i = 0; i < 3; ++i) payload.f64(1.0);
+    payload.str("net");
+    payload.f64(-60.0);
+    ml::save_mac(payload, *radio::MacAddress::parse(kMacA));
+    const std::int64_t big = std::int64_t{1} << 40;
+    payload.i64(field == "channel" ? big : 6);
+    payload.f64(0.0);
+    payload.i64(field == "uav_id" ? big : 0);
+    payload.i64(field == "waypoint_index" ? -big : 0);
+    const std::string bytes = one_section_file(
+        kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Dataset), payload);
+    expect_row_rejected([&] { (void)load_bytes(bytes); }, field);
+  }
 }
 
 // --- Rows-only deltas: the consumer rebuilds with the base's recipe -----

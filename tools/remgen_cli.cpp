@@ -19,7 +19,9 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/drift.hpp"
 #include "core/health_report.hpp"
@@ -120,6 +122,18 @@ std::optional<store::Snapshot> snapshot_for(const data::Dataset& raw, const util
                                volume_for(args), config);
 }
 
+/// Writes `bytes` to `path` through store::write_file. On failure prints
+/// "error: cannot write '<path>'" and returns false.
+bool write_output(const std::string& path, std::string_view bytes) {
+  try {
+    store::write_file(path, bytes);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
+  return true;
+}
+
 /// Writes `snapshot` to --snapshot-out for remgen-serve, when that flag is
 /// given. Returns 0 on success or when not asked, 1 on write failure.
 int save_snapshot_out(const util::Args& args, const store::Snapshot& snapshot) {
@@ -202,12 +216,15 @@ int cmd_campaign(const util::Args& args) {
                 c.waypoint_index, static_cast<char>('A' + static_cast<int>(c.uav)),
                 c.position.x, c.position.y, c.position.z);
   }
-  const std::string out = args.value("out", "dataset.csv");
-  std::ofstream file(out);
-  result.dataset.write_csv(file);
-  std::printf("%zu samples written to %s\n", result.dataset.size(), out.c_str());
-
   int status = 0;
+  const std::string out = args.value("out", "dataset.csv");
+  std::ostringstream csv;
+  result.dataset.write_csv(csv);
+  if (write_output(out, csv.view())) {
+    std::printf("%zu samples written to %s\n", result.dataset.size(), out.c_str());
+  } else {
+    status = 1;
+  }
   if (const std::string flight_out = args.value("flightlog-out"); !flight_out.empty()) {
     if (flightlog::export_jsonl_file(flight_out)) {
       std::printf("flight log (%zu events) written to %s\n", flightlog::recorder().size(),
@@ -313,8 +330,9 @@ int cmd_rem(const util::Args& args) {
   }
   const core::RadioEnvironmentMap& rem = *snapshot->rem;
   const std::string out = args.value("out", "rem.csv");
-  std::ofstream file(out);
-  rem.write_csv(file);
+  std::ostringstream csv;
+  rem.write_csv(csv);
+  if (!write_output(out, csv.view())) return 1;
   std::printf("REM: %zu transmitters over %zux%zux%zu voxels written to %s\n",
               rem.macs().size(), rem.geometry().nx(), rem.geometry().ny(), rem.geometry().nz(),
               out.c_str());

@@ -8,13 +8,13 @@
 //
 // Open-loop mode (latency under load):
 //   remgen-loadgen --port N --rate 2000 --duration 10 --connections 4 \
-//                  [--reload-at 5 --reload-snapshot new.snap [--reload-map m]] \
-//                  --bench-out BENCH_serve_net.json
+//                  [--reload-at 5 --reload-snapshot new.snap [--reload-map m]]
 // sends deterministic best-AP point queries on a fixed schedule (open loop:
 // send times never wait for responses, so queueing delay shows up in the
 // latency tail instead of silently throttling the generator), optionally
 // firing a hot reload mid-run on a dedicated admin connection, then drains
-// and reports qps + p50/p90/p99/p99.9 for the perf gate.
+// and prints qps + p50/p90/p99/p99.9 on stderr. Exits 1 on any error
+// response, dropped request or failed reload.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -35,6 +34,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "store/snapshot.hpp"
 #include "util/args.hpp"
 #include "util/fmt.hpp"
 #include "util/rng.hpp"
@@ -64,16 +64,8 @@ int usage() {
                "  --seed N              query-position RNG seed (default 42)\n"
                "  --reload-at S         send a hot reload S seconds into the run\n"
                "  --reload-snapshot F   snapshot file for the reload\n"
-               "  --reload-map NAME     map to swap (default: server default map)\n"
-               "  --bench-out FILE      write the qps/latency report as JSON\n");
+               "  --reload-map NAME     map to swap (default: server default map)\n");
   return 2;
-}
-
-std::string bench_commit() {
-  for (const char* key : {"REMGEN_GIT_COMMIT", "GITHUB_SHA"}) {
-    if (const char* value = std::getenv(key); value != nullptr && *value != '\0') return value;
-  }
-  return "unknown";
 }
 
 int connect_to(const std::string& host, std::uint16_t port) {
@@ -205,12 +197,17 @@ int run_replay(const std::string& host, std::uint16_t port, const std::string& r
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ofstream output(out_path);
-  if (!output) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", out_path.c_str());
+  std::string output;
+  for (const auto& [id, index] : order) {
+    output += responses[index];
+    output += '\n';
+  }
+  try {
+    store::write_file(out_path, output);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  for (const auto& [id, index] : order) output << responses[index] << '\n';
   std::fprintf(stderr, "replayed %zu lines, %zu responses\n", expected, responses.size());
   return 0;
 }
@@ -227,7 +224,6 @@ struct OpenLoopOptions {
   double reload_at_s = -1.0;
   std::string reload_snapshot;
   std::string reload_map;
-  std::string bench_out;
 };
 
 int run_open_loop(const std::string& host, std::uint16_t port, const OpenLoopOptions& options) {
@@ -384,33 +380,6 @@ int run_open_loop(const std::string& host, std::uint16_t port, const OpenLoopOpt
     std::fprintf(stderr, "hot reload: %s\n", reload_ok ? "ok" : "FAILED");
   }
 
-  if (!options.bench_out.empty()) {
-    obs::Json::Object latency_obj;
-    latency_obj["p50"] = obs::Json(latency.p50);
-    latency_obj["p90"] = obs::Json(latency.p90);
-    latency_obj["p99"] = obs::Json(latency.p99);
-    latency_obj["p99.9"] = obs::Json(latency.p999);
-    obs::Json::Object report;
-    report["commit"] = obs::Json(bench_commit());
-    report["rate"] = obs::Json(options.rate);
-    report["duration_seconds"] = obs::Json(options.duration_s);
-    report["connections"] = obs::Json(static_cast<std::int64_t>(options.connections));
-    report["sent"] = obs::Json(static_cast<std::int64_t>(sent));
-    report["completed"] = obs::Json(static_cast<std::int64_t>(completed));
-    report["errors"] = obs::Json(static_cast<std::int64_t>(errors));
-    report["overload_rejections"] = obs::Json(static_cast<std::int64_t>(overloads));
-    report["dropped"] = obs::Json(static_cast<std::int64_t>(dropped));
-    report["qps"] = obs::Json(qps);
-    report["latency_us"] = obs::Json(std::move(latency_obj));
-    std::ofstream out(options.bench_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", options.bench_out.c_str());
-      return 1;
-    }
-    out << obs::Json(std::move(report)).dump(2) << '\n';
-    std::fprintf(stderr, "wrote %s\n", options.bench_out.c_str());
-  }
-
   if (errors > 0 || dropped > 0) return 1;
   if (want_reload && !reload_ok) return 1;
   return 0;
@@ -422,7 +391,7 @@ int main(int argc, char** argv) {
   const std::set<std::string> value_keys{
       "host",       "port",      "replay",          "out",        "rate",
       "duration",   "connections", "top",           "extent",     "quantize",
-      "seed",       "reload-at",  "reload-snapshot", "reload-map", "bench-out"};
+      "seed",       "reload-at",  "reload-snapshot", "reload-map"};
   const std::set<std::string> flag_keys{"help"};
   std::string error;
   const auto args = util::Args::parse(argc, argv, value_keys, flag_keys, &error);
@@ -457,7 +426,6 @@ int main(int argc, char** argv) {
   options.reload_at_s = args->value_double("reload-at", -1.0);
   options.reload_snapshot = args->value("reload-snapshot");
   options.reload_map = args->value("reload-map");
-  options.bench_out = args->value("bench-out");
   if (options.rate <= 0.0 || options.duration_s <= 0.0 || options.connections == 0 ||
       options.top < 1) {
     std::fprintf(stderr, "error: invalid --rate/--duration/--connections/--top\n");
