@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   core::PipelineConfig config;
   config.campaign.grid = {.nx = 3, .ny = 2, .nz = 2, .margin_m = 0.4};
   config.campaign.uav_count = 1;
-  config.min_samples_per_mac = 8;  // the tiny campaign yields fewer samples
+  config.rem.min_samples_per_mac = 8;  // the tiny campaign yields fewer samples
   config.model = ml::ModelKind::KnnScaled16;
   config.rem.voxel_m = 0.4;
 

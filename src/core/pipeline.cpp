@@ -19,7 +19,7 @@ PipelineResult run_pipeline(const radio::Scenario& scenario, const PipelineConfi
       flightlog::CampaignEvent{0, result.campaign.dataset.size(), 0, 0, "campaign"});
 
   result.preprocessed = result.campaign.dataset.filter_min_samples_per_mac(
-      config.min_samples_per_mac, &result.dropped_samples);
+      config.rem.min_samples_per_mac, &result.dropped_samples);
   REMGEN_EXPECTS(!result.preprocessed.empty());
   REMGEN_COUNTER_ADD("pipeline.dropped_samples", result.dropped_samples);
   REMGEN_COUNTER_ADD("pipeline.preprocessed_samples", result.preprocessed.size());
@@ -48,9 +48,7 @@ PipelineResult run_pipeline(const radio::Scenario& scenario, const PipelineConfi
       flightlog::CampaignEvent{0, split.test.size(), 0, 0, "evaluate"});
 
   // The deliverable REM is built on all preprocessed data.
-  RemBuilderConfig rem_config = config.rem;
-  rem_config.min_samples_per_mac = config.min_samples_per_mac;
-  result.rem = build_rem(result.preprocessed, config.model, scenario.scan_volume(), rem_config);
+  result.rem = build_rem(result.preprocessed, config.model, scenario.scan_volume(), config.rem);
   REMGEN_COUNTER_ADD("pipeline.runs", 1);
   REMGEN_FLIGHTLOG_CAMPAIGN(flightlog::EventKind::PipelineStage,
                             flightlog::CampaignEvent{0, 0, 0, 0, "rem_build"});

@@ -18,9 +18,10 @@ namespace remgen::core {
 /// Full-pipeline configuration.
 struct PipelineConfig {
   mission::CampaignConfig campaign;
-  std::size_t min_samples_per_mac = 16;  ///< Preprocessing (paper: 16).
   double train_fraction = 0.75;          ///< The paper's 75/25 split.
   ml::ModelKind model = ml::ModelKind::KnnScaled16;  ///< Paper's best model.
+  /// Raster resolution, and the min-samples-per-MAC gate (paper: 16) of both
+  /// the preprocessing and the REM.
   RemBuilderConfig rem;
 };
 

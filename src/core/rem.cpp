@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "obs/scope.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/fmt.hpp"
@@ -64,6 +65,7 @@ std::optional<RadioEnvironmentMap::BestAp> RadioEnvironmentMap::best_ap(
 }
 
 double RadioEnvironmentMap::coverage_fraction(double threshold_dbm) const {
+  REMGEN_SCOPE("core.coverage");
   std::size_t covered = 0;
   const std::size_t total = geometry_.voxel_count();
   for (std::size_t iz = 0; iz < geometry_.nz(); ++iz) {
@@ -103,6 +105,7 @@ std::vector<geom::VoxelIndex> RadioEnvironmentMap::dark_voxels(double threshold_
 }
 
 void RadioEnvironmentMap::write_csv(std::ostream& out) const {
+  REMGEN_SCOPE("core.write_csv");
   util::CsvWriter writer(out);
   writer.write_row({"mac", "ix", "iy", "iz", "x", "y", "z", "rss_dbm", "sigma_db"});
   for (const radio::MacAddress& mac : macs_) {

@@ -134,6 +134,7 @@ void Dataset::write_csv(std::ostream& out) const {
 }
 
 Dataset Dataset::read_csv(std::istream& in) {
+  REMGEN_SCOPE("data.read_csv");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const util::CsvTable table = util::parse_csv(buffer.str());

@@ -2,30 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 
 #include "util/contracts.hpp"
 
 namespace remgen::data {
-
-void save_feature_config(util::BinaryWriter& w, const FeatureConfig& config) {
-  w.u8(config.include_position ? 1 : 0);
-  w.u8(config.include_mac_onehot ? 1 : 0);
-  w.f64(config.mac_onehot_scale);
-  w.u8(config.include_channel_onehot ? 1 : 0);
-  w.u8(config.normalize_position ? 1 : 0);
-}
-
-FeatureConfig load_feature_config(util::BinaryReader& r) {
-  FeatureConfig config;
-  config.include_position = r.u8() != 0;
-  config.include_mac_onehot = r.u8() != 0;
-  config.mac_onehot_scale = r.f64();
-  config.include_channel_onehot = r.u8() != 0;
-  config.normalize_position = r.u8() != 0;
-  return config;
-}
 
 FeatureEncoder FeatureEncoder::fit(std::span<const Sample> samples, const FeatureConfig& config) {
   REMGEN_EXPECTS(!samples.empty());
@@ -116,68 +97,6 @@ std::vector<std::vector<double>> FeatureEncoder::encode_all(
   out.reserve(samples.size());
   for (const Sample& s : samples) out.push_back(encode(s));
   return out;
-}
-
-FeatureMatrix FeatureEncoder::encode_matrix(std::span<const Sample> samples) const {
-  FeatureMatrix out(samples.size(), dimension_);
-  for (std::size_t i = 0; i < samples.size(); ++i) encode_into(samples[i], out.row(i));
-  return out;
-}
-
-void FeatureEncoder::save(util::BinaryWriter& w) const {
-  save_feature_config(w, config_);
-  // Vocabularies go out ordered by MAC/channel (not hash order) so the bytes
-  // are deterministic; the stored index keeps the one-hot layout identical.
-  std::map<radio::MacAddress, int> macs(mac_index_.begin(), mac_index_.end());
-  w.u64(macs.size());
-  for (const auto& [mac, index] : macs) {
-    w.bytes(mac.octets().data(), 6);
-    w.i64(index);
-  }
-  std::map<int, int> channels(channel_index_.begin(), channel_index_.end());
-  w.u64(channels.size());
-  for (const auto& [channel, index] : channels) {
-    w.i64(channel);
-    w.i64(index);
-  }
-  for (const double v : {position_min_.x, position_min_.y, position_min_.z, position_range_.x,
-                         position_range_.y, position_range_.z}) {
-    w.f64(v);
-  }
-  w.u64(dimension_);
-}
-
-FeatureEncoder FeatureEncoder::load(util::BinaryReader& r) {
-  FeatureEncoder enc;
-  enc.config_ = load_feature_config(r);
-  const std::uint64_t mac_count = r.u64();
-  for (std::uint64_t i = 0; i < mac_count; ++i) {
-    std::array<std::uint8_t, 6> octets{};
-    r.bytes(octets.data(), octets.size());
-    const auto index = static_cast<int>(r.i64());
-    enc.mac_index_[radio::MacAddress(octets)] = index;
-  }
-  const std::uint64_t channel_count = r.u64();
-  for (std::uint64_t i = 0; i < channel_count; ++i) {
-    const auto channel = static_cast<int>(r.i64());
-    enc.channel_index_[channel] = static_cast<int>(r.i64());
-  }
-  enc.position_min_ = {r.f64(), r.f64(), r.f64()};
-  enc.position_range_ = {r.f64(), r.f64(), r.f64()};
-  enc.dimension_ = r.u64();
-  return enc;
-}
-
-void TargetScaler::save(util::BinaryWriter& w) const {
-  w.f64(mean_);
-  w.f64(std_);
-}
-
-TargetScaler TargetScaler::load(util::BinaryReader& r) {
-  TargetScaler scaler;
-  scaler.mean_ = r.f64();
-  scaler.std_ = r.f64();
-  return scaler;
 }
 
 TargetScaler TargetScaler::fit(std::span<const double> values) {

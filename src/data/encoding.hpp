@@ -11,10 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "data/feature_matrix.hpp"
 #include "data/sample.hpp"
 #include "radio/mac_address.hpp"
-#include "util/binary_io.hpp"
 
 namespace remgen::data {
 
@@ -27,10 +25,6 @@ struct FeatureConfig {
   bool normalize_position = false;   ///< Min-max scale coordinates to [0,1]
                                      ///< (used by the neural network).
 };
-
-/// Snapshot (de)serialisation of a feature configuration.
-void save_feature_config(util::BinaryWriter& w, const FeatureConfig& config);
-[[nodiscard]] FeatureConfig load_feature_config(util::BinaryReader& r);
 
 /// Vocabulary-based encoder fitted on training data. Unknown MACs/channels
 /// at prediction time encode as all-zero one-hot blocks.
@@ -68,16 +62,7 @@ class FeatureEncoder {
   /// Encodes many samples (row per sample).
   [[nodiscard]] std::vector<std::vector<double>> encode_all(std::span<const Sample> samples) const;
 
-  /// Encodes many samples into one contiguous row-major matrix.
-  [[nodiscard]] FeatureMatrix encode_matrix(std::span<const Sample> samples) const;
-
   [[nodiscard]] const FeatureConfig& config() const noexcept { return config_; }
-
-  /// Writes the fitted vocabulary and position ranges (bit-exact doubles).
-  void save(util::BinaryWriter& w) const;
-
-  /// Reads an encoder previously written by save().
-  [[nodiscard]] static FeatureEncoder load(util::BinaryReader& r);
 
  private:
   FeatureConfig config_;
@@ -99,9 +84,6 @@ class TargetScaler {
   [[nodiscard]] double inverse(double scaled) const noexcept { return scaled * std_ + mean_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
   [[nodiscard]] double stddev() const noexcept { return std_; }
-
-  void save(util::BinaryWriter& w) const;
-  [[nodiscard]] static TargetScaler load(util::BinaryReader& r);
 
  private:
   double mean_ = 0.0;

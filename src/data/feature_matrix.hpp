@@ -2,17 +2,12 @@
 //
 // Replaces the std::vector<std::vector<double>> row set: one allocation for
 // the whole matrix, so distance kernels scan training rows cache-linearly
-// instead of chasing a pointer per row, and snapshot save/load moves one flat
-// block of doubles. The serialized layout (row count, column count, values in
-// row-major order) matches the bytes the nested-vector code used to write, so
-// existing REMSNAP sections stay readable.
+// instead of chasing a pointer per row.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "util/binary_io.hpp"
 
 namespace remgen::data {
 
@@ -44,24 +39,6 @@ class FeatureMatrix {
 
   /// The whole value block in row-major order.
   [[nodiscard]] std::span<const double> values() const noexcept { return values_; }
-
-  /// Writes rows, cols, then the values row-major — byte-identical to the
-  /// layout the previous per-row serialisation produced.
-  void save(util::BinaryWriter& w) const {
-    w.u64(rows_);
-    w.u64(cols_);
-    for (const double v : values_) w.f64(v);
-  }
-
-  /// Reads a matrix previously written by save().
-  [[nodiscard]] static FeatureMatrix load(util::BinaryReader& r) {
-    // Bounded like a grid: rows, then columns of `rows` f64s each.
-    const std::size_t rows = r.count(8);
-    const std::size_t cols = r.count(rows * 8);
-    FeatureMatrix m(rows, cols);
-    for (double& v : m.values_) v = r.f64();
-    return m;
-  }
 
  private:
   std::size_t rows_ = 0;

@@ -9,6 +9,7 @@
 #include "obs/scope.hpp"
 #include "serve/engine.hpp"
 #include "store/delta.hpp"
+#include "util/file.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 
@@ -106,16 +107,17 @@ std::optional<EpochInfo> IngestPipeline::build_epoch() {
   if (!config_.out_dir.empty()) {
     if (info.delta) {
       info.delta_path = util::format("{}/delta-{}.delta", config_.out_dir, epoch_);
-      store::write_file(info.delta_path, latest_delta_bytes_);
+      util::write_file(info.delta_path, latest_delta_bytes_);
     } else {
       info.snapshot_path = util::format("{}/epoch-{}.snap", config_.out_dir, epoch_);
-      store::write_file(info.snapshot_path, latest_snapshot_bytes_);
+      util::write_file(info.snapshot_path, latest_snapshot_bytes_);
     }
   }
 
   if (config_.server != nullptr) {
     // Build the engine from the serialised bytes: proves the round-trip on
-    // every publish and gives the engine its own snapshot copy.
+    // every publish and gives the engine its own snapshot copy (the load
+    // refits the model on the epoch's rows).
     std::istringstream in(latest_snapshot_bytes_);
     auto engine = std::make_shared<const serve::QueryEngine>(store::load_snapshot(in),
                                                              config_.cache_bytes);

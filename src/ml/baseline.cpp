@@ -1,7 +1,5 @@
 #include "ml/baseline.hpp"
 
-#include <map>
-
 #include "obs/scope.hpp"
 #include "util/contracts.hpp"
 
@@ -45,27 +43,6 @@ void MeanPerMacBaseline::predict_batch(std::span<const data::Sample> queries,
       run_mac = &query.mac;
     }
     out[qi] = mean;
-  }
-}
-
-void MeanPerMacBaseline::save(util::BinaryWriter& w) const {
-  w.f64(global_mean_);
-  // MAC-sorted so repeated saves of the same model are byte-identical.
-  std::map<radio::MacAddress, double> sorted(mean_per_mac_.begin(), mean_per_mac_.end());
-  w.u64(sorted.size());
-  for (const auto& [mac, mean] : sorted) {
-    save_mac(w, mac);
-    w.f64(mean);
-  }
-}
-
-void MeanPerMacBaseline::load(util::BinaryReader& r) {
-  global_mean_ = r.f64();
-  mean_per_mac_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const radio::MacAddress mac = load_mac(r);
-    mean_per_mac_[mac] = r.f64();
   }
 }
 

@@ -5,14 +5,13 @@
 #include <unordered_map>
 
 #include "ml/estimator.hpp"
-#include "ml/serialize.hpp"
 #include "radio/mac_address.hpp"
 
 namespace remgen::ml {
 
 /// Mean-per-MAC baseline ("the predictor generally utilizing the mean per
 /// MAC address", paper RMSE 4.8107 dBm).
-class MeanPerMacBaseline final : public Estimator, public Serializable {
+class MeanPerMacBaseline final : public Estimator {
  public:
   void fit(std::span<const data::Sample> train) override;
   [[nodiscard]] double predict(const data::Sample& query) const override;
@@ -21,10 +20,6 @@ class MeanPerMacBaseline final : public Estimator, public Serializable {
   void predict_batch(std::span<const data::Sample> queries,
                      std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "baseline-mean-per-mac"; }
-
-  [[nodiscard]] std::string_view serial_tag() const override { return "baseline-mean-per-mac"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
 
  private:
   std::unordered_map<radio::MacAddress, double> mean_per_mac_;

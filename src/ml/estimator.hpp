@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +14,18 @@
 #include "data/sample.hpp"
 
 namespace remgen::ml {
+
+/// The models compared in the paper's Figure 8, plus extensions (the model
+/// zoo, ml/model_zoo.hpp).
+enum class ModelKind {
+  BaselineMeanPerMac,  ///< Mean per MAC (paper RMSE 4.8107 dBm).
+  KnnK3Distance,       ///< kNN, k=3, distance weights, plain one-hot.
+  KnnScaled16,         ///< kNN, one-hot x3, k=16 (paper's best, 4.4186 dBm).
+  PerMacKnn,           ///< One kNN per MAC on coordinates only.
+  NeuralNet16,         ///< 16-node sigmoid hidden layer, Adam (4.4870 dBm).
+  Idw,                 ///< Extension: inverse distance weighting.
+  Kriging,             ///< Extension: ordinary kriging.
+};
 
 /// A trainable RSS regressor.
 class Estimator {
@@ -37,6 +50,14 @@ class Estimator {
 
   /// Short human-readable model name for reports.
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// The zoo kind make_model() built this estimator as; empty for one
+  /// constructed directly. A snapshot names its model by this kind.
+  [[nodiscard]] std::optional<ModelKind> kind() const noexcept { return kind_; }
+
+ private:
+  friend std::unique_ptr<Estimator> make_model(ModelKind kind);
+  std::optional<ModelKind> kind_;
 };
 
 /// Predicts every sample in `queries`.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "obs/scope.hpp"
 #include "util/contracts.hpp"
@@ -113,48 +112,6 @@ void IdwRegressor::predict_batch(std::span<const data::Sample> queries,
       weight_sum += w;
     }
     if (!exact) out[qi] = weighted / weight_sum;
-  }
-}
-
-void IdwRegressor::save(util::BinaryWriter& w) const {
-  w.f64(config_.power);
-  w.u64(config_.max_neighbors);
-  fallback_.save(w);
-  // MAC-sorted so repeated saves of the same model are byte-identical.
-  std::map<radio::MacAddress, const MacData*> sorted;
-  for (const auto& [mac, d] : per_mac_) sorted[mac] = &d;
-  w.u64(sorted.size());
-  for (const auto& [mac, d] : sorted) {
-    save_mac(w, mac);
-    w.u64(d->positions.size());
-    for (std::size_t i = 0; i < d->positions.size(); ++i) {
-      w.f64(d->positions[i].x);
-      w.f64(d->positions[i].y);
-      w.f64(d->positions[i].z);
-      w.f64(d->values[i]);
-    }
-  }
-}
-
-void IdwRegressor::load(util::BinaryReader& r) {
-  config_.power = r.f64();
-  config_.max_neighbors = r.u64();
-  fallback_.load(r);
-  per_mac_.clear();
-  const std::uint64_t macs = r.u64();
-  for (std::uint64_t i = 0; i < macs; ++i) {
-    const radio::MacAddress mac = load_mac(r);
-    MacData& d = per_mac_[mac];
-    const std::size_t n = r.count(4 * 8);  // x, y, z, value
-    d.positions.resize(n);
-    d.values.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      d.positions[j].x = r.f64();
-      d.positions[j].y = r.f64();
-      d.positions[j].z = r.f64();
-      d.values[j] = r.f64();
-    }
-    if (config_.max_neighbors > 0) d.tree.emplace(d.positions);
   }
 }
 

@@ -10,7 +10,6 @@
 #include "ml/baseline.hpp"
 #include "ml/estimator.hpp"
 #include "ml/kdtree.hpp"
-#include "ml/serialize.hpp"
 
 namespace remgen::ml {
 
@@ -21,7 +20,7 @@ struct IdwConfig {
 };
 
 /// Per-MAC inverse distance weighting with mean-per-MAC fallback.
-class IdwRegressor final : public Estimator, public Serializable {
+class IdwRegressor final : public Estimator {
  public:
   explicit IdwRegressor(const IdwConfig& config = {});
 
@@ -33,10 +32,6 @@ class IdwRegressor final : public Estimator, public Serializable {
   void predict_batch(std::span<const data::Sample> queries,
                      std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] std::string_view serial_tag() const override { return "idw"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
 
  private:
   struct MacData {

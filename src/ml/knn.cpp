@@ -22,98 +22,40 @@ double minkowski_distance(std::span<const double> a, std::span<const double> b, 
   return minkowski_finish(pre, kind, 1.0 / p);
 }
 
-void save_knn_config(util::BinaryWriter& w, const KnnConfig& config) {
-  w.u64(config.n_neighbors);
-  w.u8(config.weights == KnnWeights::Distance ? 1 : 0);
-  w.f64(config.minkowski_p);
-  data::save_feature_config(w, config.features);
-}
-
-KnnConfig load_knn_config(util::BinaryReader& r) {
-  KnnConfig config;
-  config.n_neighbors = r.u64();
-  config.weights = r.u8() != 0 ? KnnWeights::Distance : KnnWeights::Uniform;
-  config.minkowski_p = r.f64();
-  config.features = data::load_feature_config(r);
-  return config;
-}
-
 KnnRegressor::KnnRegressor(const KnnConfig& config)
     : config_(config), encoder_() {
   REMGEN_EXPECTS(config.n_neighbors > 0);
-}
-
-void KnnRegressor::maybe_build_tree() {
-  tree_.reset();
-  const data::FeatureConfig& f = config_.features;
-  if (f.include_position && !f.include_mac_onehot && !f.include_channel_onehot &&
-      !f.normalize_position && config_.minkowski_p == 2.0) {
-    // Unnormalized position-only encoding is the raw coordinates, and
-    // minkowski p=2 is Vec3::distance_to — the tree query is exact. In this
-    // configuration every feature row IS the coordinate triple, so the tree
-    // can be rebuilt from features_ alone (fit and load share this path).
-    std::vector<geom::Vec3> positions;
-    positions.reserve(features_.rows());
-    for (std::size_t i = 0; i < features_.rows(); ++i) {
-      const double* row = features_.row_ptr(i);
-      positions.push_back({row[0], row[1], row[2]});
-    }
-    tree_.emplace(positions);
-  }
-}
-
-void KnnRegressor::rebuild_row_keys() {
-  const data::FeatureConfig& f = config_.features;
-  const std::size_t pos_dims = f.include_position ? 3 : 0;
-  const std::size_t mac_size = f.include_mac_onehot ? encoder_.mac_vocabulary_size() : 0;
-  const std::size_t ch_size = f.include_channel_onehot ? encoder_.channel_vocabulary_size() : 0;
-  row_mac_.assign(features_.rows(), -1);
-  row_channel_.assign(features_.rows(), -1);
-  for (std::size_t i = 0; i < features_.rows(); ++i) {
-    const double* row = features_.row_ptr(i);
-    for (std::size_t j = 0; j < mac_size; ++j) {
-      if (row[pos_dims + j] != 0.0) {
-        row_mac_[i] = static_cast<int>(j);
-        break;
-      }
-    }
-    for (std::size_t j = 0; j < ch_size; ++j) {
-      if (row[pos_dims + mac_size + j] != 0.0) {
-        row_channel_[i] = static_cast<int>(j);
-        break;
-      }
-    }
-  }
 }
 
 void KnnRegressor::fit(std::span<const data::Sample> train) {
   REMGEN_EXPECTS(!train.empty());
   REMGEN_SCOPE("ml.knn.fit");
   REMGEN_COUNTER_ADD("ml.knn.fits", 1);
-  encoder_ = data::FeatureEncoder::fit(train, config_.features);
-  features_ = encoder_.encode_matrix(train);
+  const data::FeatureConfig& f = config_.features;
+  encoder_ = data::FeatureEncoder::fit(train, f);
+  const std::size_t pos_dims = f.include_position ? 3 : 0;
+  positions_ = data::FeatureMatrix(train.size(), pos_dims);
+  row_mac_.assign(train.size(), -1);
+  row_channel_.assign(train.size(), -1);
+  std::vector<double> encoded(encoder_.dimension());
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    encoder_.encode_into(train[i], encoded);
+    std::copy_n(encoded.begin(), pos_dims, positions_.row(i).begin());
+    if (f.include_mac_onehot) row_mac_[i] = encoder_.mac_index(train[i].mac);
+    if (f.include_channel_onehot) row_channel_[i] = encoder_.channel_index(train[i].channel);
+  }
   targets_ = data::rss_targets(train);
-  rebuild_row_keys();
-  maybe_build_tree();
-  fitted_ = true;
-}
 
-void KnnRegressor::save(util::BinaryWriter& w) const {
-  REMGEN_EXPECTS(fitted_);
-  save_knn_config(w, config_);
-  encoder_.save(w);
-  features_.save(w);
-  for (const double t : targets_) w.f64(t);
-}
-
-void KnnRegressor::load(util::BinaryReader& r) {
-  config_ = load_knn_config(r);
-  encoder_ = data::FeatureEncoder::load(r);
-  features_ = data::FeatureMatrix::load(r);
-  targets_.resize(features_.rows());
-  for (double& t : targets_) t = r.f64();
-  rebuild_row_keys();
-  maybe_build_tree();
+  tree_.reset();
+  if (f.include_position && !f.include_mac_onehot && !f.include_channel_onehot &&
+      !f.normalize_position && config_.minkowski_p == 2.0) {
+    // Unnormalized position-only encoding is the raw coordinates, and
+    // minkowski p=2 is Vec3::distance_to — the tree query is exact.
+    std::vector<geom::Vec3> positions;
+    positions.reserve(train.size());
+    for (const data::Sample& s : train) positions.push_back(s.position);
+    tree_.emplace(positions);
+  }
   fitted_ = true;
 }
 
@@ -130,7 +72,7 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
   if (queries.empty()) return;
   REMGEN_SCOPE("ml.knn.predict");
   REMGEN_COUNTER_ADD("ml.knn.predicts", queries.size());
-  const std::size_t k = std::min(config_.n_neighbors, features_.rows());
+  const std::size_t k = std::min(config_.n_neighbors, positions_.rows());
   // Distance weighting (scikit-learn semantics): an exact match dominates.
   constexpr double kExactEps = 1e-12;
 
@@ -197,7 +139,7 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
   thread_local std::vector<double> qrow;
   thread_local std::vector<std::pair<double, std::size_t>> pre;
   qrow.resize(encoder_.dimension());
-  const std::size_t rows = features_.rows();
+  const std::size_t rows = positions_.rows();
   pre.resize(rows);
 
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
@@ -207,7 +149,7 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
     const int q_ch = f.include_channel_onehot ? encoder_.channel_index(query.channel) : -1;
     const double* qpos = qrow.data();
     for (std::size_t i = 0; i < rows; ++i) {
-      double acc = minkowski_pre(qpos, features_.row_ptr(i), pos_dims, kind, p);
+      double acc = minkowski_pre(qpos, positions_.row_ptr(i), pos_dims, kind, p);
       if (f.include_mac_onehot) {
         acc += q_mac < 0 ? mac_unknown : (row_mac_[i] == q_mac ? 0.0 : mac_mismatch);
       }

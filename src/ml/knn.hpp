@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "data/encoding.hpp"
+#include "data/feature_matrix.hpp"
 #include "ml/estimator.hpp"
 #include "ml/kdtree.hpp"
-#include "ml/serialize.hpp"
 
 namespace remgen::ml {
 
@@ -25,12 +25,8 @@ struct KnnConfig {
   data::FeatureConfig features{};  ///< Position + one-hot MAC by default.
 };
 
-/// Snapshot (de)serialisation of kNN hyperparameters (shared with PerMacKnn).
-void save_knn_config(util::BinaryWriter& w, const KnnConfig& config);
-[[nodiscard]] KnnConfig load_knn_config(util::BinaryReader& r);
-
 /// Brute-force kNN regressor over the encoded feature space.
-class KnnRegressor final : public Estimator, public Serializable {
+class KnnRegressor final : public Estimator {
  public:
   explicit KnnRegressor(const KnnConfig& config = {});
 
@@ -45,25 +41,14 @@ class KnnRegressor final : public Estimator, public Serializable {
 
   [[nodiscard]] const KnnConfig& config() const noexcept { return config_; }
 
-  [[nodiscard]] std::string_view serial_tag() const override { return "knn"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
-
  private:
-  /// Builds the KD-tree when the feature space admits the exact tree path
-  /// (shared between fit() and load(); the tree itself is never serialised).
-  void maybe_build_tree();
-
-  /// Recovers each training row's MAC/channel vocabulary index by scanning
-  /// its one-hot block (shared between fit() and load()). The brute kernel
-  /// uses these to fold a row's entire one-hot block into an O(1) penalty
-  /// term instead of scanning the (mostly zero) block per query.
-  void rebuild_row_keys();
-
   KnnConfig config_;
   data::FeatureEncoder encoder_;
-  /// Row-major SoA storage: one contiguous allocation, cache-linear scans.
-  data::FeatureMatrix features_;
+  /// Each training row's encoded position block (0 or 3 columns), row-major
+  /// in one allocation so the brute scan is cache-linear. The one-hot blocks
+  /// are not stored: the brute kernel folds a row's whole block into an O(1)
+  /// penalty term from the row's vocabulary indices below.
+  data::FeatureMatrix positions_;
   std::vector<double> targets_;
   std::vector<int> row_mac_;      ///< Per-row MAC vocab index (-1 if none).
   std::vector<int> row_channel_;  ///< Per-row channel vocab index (-1 if none).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "math/matrix.hpp"
 #include "obs/metrics.hpp"
@@ -205,59 +204,6 @@ void KrigingRegressor::predict_batch(std::span<const data::Sample> queries,
   predictions.resize(queries.size());
   predict_with_sigma_batch(queries, predictions);
   for (std::size_t i = 0; i < queries.size(); ++i) out[i] = predictions[i].value;
-}
-
-void KrigingRegressor::save(util::BinaryWriter& w) const {
-  w.u64(config_.max_neighbors);
-  w.u64(config_.variogram_bins);
-  w.u64(config_.min_samples);
-  fallback_.save(w);
-  // MAC-sorted so repeated saves of the same model are byte-identical.
-  std::map<radio::MacAddress, const MacModel*> sorted;
-  for (const auto& [mac, model] : models_) sorted[mac] = &model;
-  w.u64(sorted.size());
-  for (const auto& [mac, model] : sorted) {
-    save_mac(w, mac);
-    w.f64(model->mean);
-    w.f64(model->variogram.nugget);
-    w.f64(model->variogram.partial_sill);
-    w.f64(model->variogram.range_m);
-    w.u64(model->positions.size());
-    for (std::size_t i = 0; i < model->positions.size(); ++i) {
-      w.f64(model->positions[i].x);
-      w.f64(model->positions[i].y);
-      w.f64(model->positions[i].z);
-      w.f64(model->values[i]);
-    }
-  }
-}
-
-void KrigingRegressor::load(util::BinaryReader& r) {
-  config_.max_neighbors = r.u64();
-  config_.variogram_bins = r.u64();
-  config_.min_samples = r.u64();
-  fallback_.load(r);
-  models_.clear();
-  const std::uint64_t macs = r.u64();
-  for (std::uint64_t i = 0; i < macs; ++i) {
-    const radio::MacAddress mac = load_mac(r);
-    MacModel model;
-    model.mean = r.f64();
-    model.variogram.nugget = r.f64();
-    model.variogram.partial_sill = r.f64();
-    model.variogram.range_m = r.f64();
-    const std::size_t n = r.count(4 * 8);  // x, y, z, value
-    model.positions.resize(n);
-    model.values.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      model.positions[j].x = r.f64();
-      model.positions[j].y = r.f64();
-      model.positions[j].z = r.f64();
-      model.values[j] = r.f64();
-    }
-    model.tree = std::make_unique<KdTree>(model.positions);
-    models_[mac] = std::move(model);
-  }
 }
 
 std::optional<Variogram> KrigingRegressor::variogram_for(const radio::MacAddress& mac) const {

@@ -16,7 +16,6 @@
 #include "ml/baseline.hpp"
 #include "ml/estimator.hpp"
 #include "ml/kdtree.hpp"
-#include "ml/serialize.hpp"
 
 namespace remgen::ml {
 
@@ -47,7 +46,7 @@ struct KrigingConfig {
 };
 
 /// Per-MAC ordinary kriging with mean-per-MAC fallback.
-class KrigingRegressor final : public Estimator, public Serializable {
+class KrigingRegressor final : public Estimator {
  public:
   explicit KrigingRegressor(const KrigingConfig& config = {});
 
@@ -59,10 +58,6 @@ class KrigingRegressor final : public Estimator, public Serializable {
   void predict_batch(std::span<const data::Sample> queries,
                      std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] std::string_view serial_tag() const override { return "kriging"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
 
   /// Prediction plus kriging standard deviation (uncertainty). The deviation
   /// is 0 for fallback predictions.

@@ -20,7 +20,9 @@ std::vector<ModelKind> all_model_kinds(bool include_extensions) {
   return kinds;
 }
 
-std::unique_ptr<Estimator> make_model(ModelKind kind) {
+namespace {
+
+std::unique_ptr<Estimator> construct(ModelKind kind) {
   switch (kind) {
     case ModelKind::BaselineMeanPerMac:
       return std::make_unique<MeanPerMacBaseline>();
@@ -59,6 +61,14 @@ std::unique_ptr<Estimator> make_model(ModelKind kind) {
   return nullptr;
 }
 
+}  // namespace
+
+std::unique_ptr<Estimator> make_model(ModelKind kind) {
+  std::unique_ptr<Estimator> model = construct(kind);
+  model->kind_ = kind;
+  return model;
+}
+
 const char* model_kind_name(ModelKind kind) {
   switch (kind) {
     case ModelKind::BaselineMeanPerMac: return "baseline-mean-per-mac";
@@ -70,6 +80,13 @@ const char* model_kind_name(ModelKind kind) {
     case ModelKind::Kriging: return "kriging";
   }
   return "?";
+}
+
+std::optional<ModelKind> model_kind_from_name(std::string_view name) {
+  for (const ModelKind kind : all_model_kinds(true)) {
+    if (name == model_kind_name(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 }  // namespace remgen::ml

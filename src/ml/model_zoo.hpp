@@ -2,34 +2,26 @@
 // interpolators, so benches/examples can enumerate models uniformly.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <string>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ml/estimator.hpp"
 
 namespace remgen::ml {
 
-/// The models compared in the paper's Figure 8, plus extensions.
-enum class ModelKind {
-  BaselineMeanPerMac,  ///< Mean per MAC (paper RMSE 4.8107 dBm).
-  KnnK3Distance,       ///< kNN, k=3, distance weights, plain one-hot.
-  KnnScaled16,         ///< kNN, one-hot x3, k=16 (paper's best, 4.4186 dBm).
-  PerMacKnn,           ///< One kNN per MAC on coordinates only.
-  NeuralNet16,         ///< 16-node sigmoid hidden layer, Adam (4.4870 dBm).
-  Idw,                 ///< Extension: inverse distance weighting.
-  Kriging,             ///< Extension: ordinary kriging.
-};
-
 /// All kinds, in the order the paper (then extensions) lists them.
 [[nodiscard]] std::vector<ModelKind> all_model_kinds(bool include_extensions = true);
 
 /// Constructs a fresh, unfitted estimator of the given kind with the paper's
-/// tuned hyperparameters.
+/// tuned hyperparameters, and records the kind on it (Estimator::kind()).
 [[nodiscard]] std::unique_ptr<Estimator> make_model(ModelKind kind);
 
-/// Stable identifier for reports.
+/// Stable identifier for reports, CLI flags and snapshot Model sections.
 [[nodiscard]] const char* model_kind_name(ModelKind kind);
+
+/// The kind whose model_kind_name() is `name`; nullopt for any other name.
+[[nodiscard]] std::optional<ModelKind> model_kind_from_name(std::string_view name);
 
 }  // namespace remgen::ml

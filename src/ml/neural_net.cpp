@@ -208,67 +208,6 @@ void NeuralNetRegressor::predict_batch(std::span<const data::Sample> queries,
   }
 }
 
-void NeuralNetRegressor::save(util::BinaryWriter& w) const {
-  REMGEN_EXPECTS(fitted_);
-  w.u64(config_.hidden_layers.size());
-  for (const std::size_t h : config_.hidden_layers) w.u64(h);
-  w.u8(static_cast<std::uint8_t>(config_.activation));
-  w.f64(config_.learning_rate);
-  w.u64(config_.epochs);
-  w.u64(config_.batch_size);
-  w.f64(config_.adam_beta1);
-  w.f64(config_.adam_beta2);
-  w.f64(config_.adam_epsilon);
-  w.u64(config_.seed);
-  data::save_feature_config(w, config_.features);
-  encoder_.save(w);
-  target_scaler_.save(w);
-  w.f64(final_loss_);
-  w.u64(layers_.size());
-  for (const Layer& layer : layers_) {
-    w.u64(layer.in);
-    w.u64(layer.out);
-    w.u8(layer.linear ? 1 : 0);
-    for (const double v : layer.w) w.f64(v);
-    for (const double v : layer.b) w.f64(v);
-  }
-}
-
-void NeuralNetRegressor::load(util::BinaryReader& r) {
-  config_.hidden_layers.resize(r.count(8));
-  for (std::size_t& h : config_.hidden_layers) h = r.u64();
-  config_.activation = static_cast<Activation>(r.u8());
-  config_.learning_rate = r.f64();
-  config_.epochs = r.u64();
-  config_.batch_size = r.u64();
-  config_.adam_beta1 = r.f64();
-  config_.adam_beta2 = r.f64();
-  config_.adam_epsilon = r.f64();
-  config_.seed = r.u64();
-  config_.features = data::load_feature_config(r);
-  encoder_ = data::FeatureEncoder::load(r);
-  target_scaler_ = data::TargetScaler::load(r);
-  final_loss_ = r.f64();
-  layers_.resize(r.count(2 * 8 + 1));
-  for (Layer& layer : layers_) {
-    // Each output carries `in` weights and a bias, all f64.
-    layer.in = r.count(8);
-    layer.out = r.count((layer.in + 1) * 8);
-    layer.linear = r.u8() != 0;
-    layer.w.resize(layer.in * layer.out);
-    for (double& v : layer.w) v = r.f64();
-    layer.b.resize(layer.out);
-    for (double& v : layer.b) v = r.f64();
-    // Moments are reset: they only matter to a fit() that would restart
-    // training, which re-initialises them anyway.
-    layer.mw.assign(layer.w.size(), 0.0);
-    layer.vw.assign(layer.w.size(), 0.0);
-    layer.mb.assign(layer.out, 0.0);
-    layer.vb.assign(layer.out, 0.0);
-  }
-  fitted_ = true;
-}
-
 std::string NeuralNetRegressor::name() const {
   std::string arch;
   for (const std::size_t h : config_.hidden_layers) {

@@ -11,7 +11,6 @@
 
 #include "data/encoding.hpp"
 #include "ml/estimator.hpp"
-#include "ml/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace remgen::ml {
@@ -38,7 +37,7 @@ struct NeuralNetConfig {
 };
 
 /// Multi-layer perceptron trained with minibatch Adam on MSE loss.
-class NeuralNetRegressor final : public Estimator, public Serializable {
+class NeuralNetRegressor final : public Estimator {
  public:
   explicit NeuralNetRegressor(const NeuralNetConfig& config = {});
 
@@ -53,13 +52,6 @@ class NeuralNetRegressor final : public Estimator, public Serializable {
 
   /// Mean squared training loss (standardized targets) after the last epoch.
   [[nodiscard]] double final_training_loss() const noexcept { return final_loss_; }
-
-  /// Serialises the inference state (weights, encoder, scaler). Adam moment
-  /// buffers are deliberately not stored — they only matter to a fit() that
-  /// would restart training, which re-initialises them anyway.
-  [[nodiscard]] std::string_view serial_tag() const override { return "neural-net"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
 
  private:
   /// One dense layer y = act(W x + b) with Adam moment buffers.

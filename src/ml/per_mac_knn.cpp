@@ -86,32 +86,6 @@ void PerMacKnn::predict_batch(std::span<const data::Sample> queries,
   }
 }
 
-void PerMacKnn::save(util::BinaryWriter& w) const {
-  save_knn_config(w, config_);
-  fallback_.save(w);
-  // MAC-sorted so repeated saves of the same model are byte-identical.
-  std::map<radio::MacAddress, const KnnRegressor*> sorted;
-  for (const auto& [mac, model] : models_) sorted[mac] = model.get();
-  w.u64(sorted.size());
-  for (const auto& [mac, model] : sorted) {
-    save_mac(w, mac);
-    model->save(w);
-  }
-}
-
-void PerMacKnn::load(util::BinaryReader& r) {
-  config_ = load_knn_config(r);
-  fallback_.load(r);
-  models_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const radio::MacAddress mac = load_mac(r);
-    auto model = std::make_unique<KnnRegressor>(config_);
-    model->load(r);
-    models_[mac] = std::move(model);
-  }
-}
-
 std::string PerMacKnn::name() const {
   return util::format("per-mac-knn(k={},weights={})", config_.n_neighbors,
                       config_.weights == KnnWeights::Distance ? "distance" : "uniform");

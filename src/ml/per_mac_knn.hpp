@@ -14,7 +14,7 @@ namespace remgen::ml {
 
 /// One kNN model per MAC; falls back to the mean-per-MAC baseline when a
 /// query's MAC was unseen during training.
-class PerMacKnn final : public Estimator, public Serializable {
+class PerMacKnn final : public Estimator {
  public:
   /// `config.features` is overridden to coordinates-only internally.
   explicit PerMacKnn(const KnnConfig& config = {});
@@ -27,10 +27,6 @@ class PerMacKnn final : public Estimator, public Serializable {
   void predict_batch(std::span<const data::Sample> queries,
                      std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] std::string_view serial_tag() const override { return "per-mac-knn"; }
-  void save(util::BinaryWriter& w) const override;
-  void load(util::BinaryReader& r) override;
 
  private:
   KnnConfig config_;

@@ -4,13 +4,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string_view>
 
 #include "util/args.hpp"
+#include "util/file.hpp"
 #include "util/fmt.hpp"
 #include "util/log.hpp"
 
@@ -232,31 +234,26 @@ void write_chrome_trace(std::ostream& out, std::span<const SpanRecord> records,
   write_chrome_trace(out, input);
 }
 
-namespace {
-
-template <typename WriteFn>
-bool export_to_file(const std::string& path, const char* what, WriteFn&& write) {
-  std::ofstream out(path);
-  if (!out) {
-    util::logf(util::LogLevel::Warn, "obs", "cannot open {} for {} export", path, what);
+bool export_text_file(const std::string& path, std::string_view text) {
+  try {
+    util::write_file(path, text);
+  } catch (const std::exception& e) {
+    util::logf(util::LogLevel::Warn, "obs", "{}", e.what());
     return false;
   }
-  write(out);
-  return bool(out);
+  return true;
 }
 
-}  // namespace
-
 bool export_metrics_json_file(const std::string& path) {
-  return export_to_file(path, "metrics", [](std::ostream& out) {
-    write_metrics_json(out, registry().snapshot());
-  });
+  std::ostringstream out;
+  write_metrics_json(out, registry().snapshot());
+  return export_text_file(path, out.view());
 }
 
 bool export_prometheus_file(const std::string& path) {
-  return export_to_file(path, "prometheus", [](std::ostream& out) {
-    write_prometheus(out, registry().snapshot());
-  });
+  std::ostringstream out;
+  write_prometheus(out, registry().snapshot());
+  return export_text_file(path, out.view());
 }
 
 bool export_trace_file(const std::string& path) {
@@ -273,9 +270,9 @@ bool export_trace_file(const std::string& path) {
   input.dropped_spans = trace().dropped();
   input.dropped_by_thread = trace().dropped_by_thread();
   input.dropped_task_events = task_events_dropped();
-  return export_to_file(path, "trace", [&input](std::ostream& out) {
-    write_chrome_trace(out, input);
-  });
+  std::ostringstream out;
+  write_chrome_trace(out, input);
+  return export_text_file(path, out.view());
 }
 
 void start_telemetry(const util::Args& args, const TelemetryOptions& options) {

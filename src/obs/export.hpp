@@ -7,6 +7,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -56,8 +57,12 @@ void write_chrome_trace(std::ostream& out, const TraceExport& input);
 void write_chrome_trace(std::ostream& out, std::span<const SpanRecord> records,
                         std::uint64_t dropped_spans = 0);
 
-/// Convenience file sinks over the global registry / trace buffer. Return
-/// false (and log a warning) when the file cannot be written.
+/// Writes `text` to `path` through util::write_file. On failure logs the
+/// warning "cannot write '<path>'" and returns false.
+bool export_text_file(const std::string& path, std::string_view text);
+
+/// Convenience file sinks over the global registry / trace buffer, through
+/// export_text_file.
 bool export_metrics_json_file(const std::string& path);
 bool export_prometheus_file(const std::string& path);
 bool export_trace_file(const std::string& path);

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
 
+#include "obs/export.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 
 namespace remgen::obs {
 
@@ -348,13 +347,7 @@ void write_profile_table(std::ostream& out, const ProfileReport& report) {
 }
 
 bool export_profile_json_file(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    util::logf(util::LogLevel::Warn, "obs", "cannot open {} for profile export", path);
-    return false;
-  }
-  out << profile_to_json(profile_report()).dump(2) << '\n';
-  return bool(out);
+  return export_text_file(path, profile_to_json(profile_report()).dump(2) + '\n');
 }
 
 }  // namespace remgen::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -15,6 +16,42 @@
 #include "util/fmt.hpp"
 
 namespace remgen::serve {
+
+namespace {
+
+bool all_finite(const obs::Json& value) {
+  if (value.is_number()) return std::isfinite(value.as_double());
+  if (value.is_array()) {
+    return std::all_of(value.as_array().begin(), value.as_array().end(), all_finite);
+  }
+  if (value.is_object()) {
+    return std::all_of(value.as_object().begin(), value.as_object().end(),
+                       [](const auto& member) { return all_finite(member.second); });
+  }
+  return true;
+}
+
+/// An ok=false reply, counted in serve.errors.
+Response error_response(std::int64_t id, std::string error) {
+  REMGEN_COUNTER_ADD("serve.errors", 1);
+  Response response;
+  response.id = id;
+  response.ok = false;
+  response.error = std::move(error);
+  return response;
+}
+
+/// Every result leaves the engine through here. JSON has no NaN or
+/// infinity, so a model or REM cell that yields one fails its own request
+/// instead of the writer that would serialise the reply.
+Response checked(Response response) {
+  if (!all_finite(response.body)) {
+    return error_response(response.id, "reply holds a non-finite number");
+  }
+  return response;
+}
+
+}  // namespace
 
 QueryEngine::QueryEngine(store::Snapshot snapshot, std::size_t cache_bytes)
     : snapshot_(std::move(snapshot)), cache_(cache_bytes) {
@@ -213,18 +250,13 @@ Response QueryEngine::execute(const Request& request) const {
   REMGEN_COUNTER_ADD("serve.queries", 1);
   try {
     switch (request.type) {
-      case RequestType::Point: return execute_point(request);
-      case RequestType::Batch: return execute_batch(request);
-      case RequestType::Volume: return execute_volume(request);
+      case RequestType::Point: return checked(execute_point(request));
+      case RequestType::Batch: return checked(execute_batch(request));
+      case RequestType::Volume: return checked(execute_volume(request));
     }
     throw std::runtime_error("unreachable request type");
   } catch (const std::exception& e) {
-    REMGEN_COUNTER_ADD("serve.errors", 1);
-    Response response;
-    response.id = request.id;
-    response.ok = false;
-    response.error = e.what();
-    return response;
+    return error_response(request.id, e.what());
   }
 }
 
@@ -272,12 +304,13 @@ std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>&
     predict_many(*unit.mac, unit_points, unit_values);
     for (std::size_t j = 0; j < unit.indices.size(); ++j) {
       const std::size_t i = unit.indices[j];
-      Response& response = responses[i];
+      Response response;
       response.id = requests[i].id;
       obs::Json::Object body;
       body["mac"] = obs::Json(unit.mac->to_string());
       body["rss_dbm"] = obs::Json(unit_values[j]);
       response.body = obs::Json(std::move(body));
+      responses[i] = checked(std::move(response));
     }
   };
   // Each unit writes only to its own requests' index-addressed slots, so the

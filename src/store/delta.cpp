@@ -6,10 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "util/binary_io.hpp"
+#include "util/file.hpp"
 #include "util/fmt.hpp"
 
 namespace remgen::store {
@@ -100,8 +100,8 @@ SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next, std::uint64
 
 Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
   REMGEN_SCOPE("store.apply_delta");
-  if (base.model == nullptr || !base.rem.has_value()) {
-    throw std::runtime_error("delta: base has no model or no REM to rebuild from");
+  if (base.model == nullptr || !base.model->kind().has_value() || !base.rem.has_value()) {
+    throw std::runtime_error("delta: base has no zoo model or no REM to rebuild from");
   }
   if (base.model->name() != delta.model_name) {
     throw std::runtime_error(util::format("delta: base model is {}, delta expects {}",
@@ -138,12 +138,8 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
   }
 
   // The producer's recipe, on the consumer: a fresh estimator of the base
-  // model's configuration (a save/load clone; fit() depends only on that and
-  // the rows) fitted on the merged rows, swept over the base grid.
-  util::BinaryWriter clone_bytes;
-  ml::save_model(clone_bytes, *base.model);
-  util::BinaryReader reader(clone_bytes.buffer());
-  out.model = ml::load_model(reader);
+  // model's zoo kind fitted on the merged rows, swept over the base grid.
+  out.model = ml::make_model(*base.model->kind());
   out.rem.emplace(core::build_rem(out.dataset, *out.model, base.rem->geometry()));
   REMGEN_COUNTER_ADD("store.delta.applies", 1);
   return out;
@@ -239,7 +235,7 @@ SnapshotDelta load_delta(std::istream& in) {
 void save_delta_file(const std::string& path, const SnapshotDelta& delta) {
   std::ostringstream out;
   save_delta(out, delta);
-  write_file(path, std::move(out).str());
+  util::write_file(path, std::move(out).str());
 }
 
 SnapshotDelta load_delta_file(const std::string& path) {

@@ -6,8 +6,8 @@
 // delta therefore ships only the rows: the paper's >= 16-samples gate is
 // monotone, so the previous prepared dataset is a strict subsequence of the
 // next one, and the inserted rows plus their final positions rebuild it.
-// apply_delta(base, delta) merges the rows, refits a clone of the base's
-// model on them and sweeps the base REM's grid with core::build_rem — the
+// apply_delta(base, delta) merges the rows, refits the base model's zoo kind
+// on them and sweeps the base REM's grid with core::build_rem — the
 // same code store::build_snapshot runs on the producer — so the result
 // serialises byte-identically to the next epoch's full snapshot (enforced
 // by tests for every model family). A consumer can follow a stream of
@@ -79,9 +79,9 @@ struct SnapshotDelta {
 [[nodiscard]] SnapshotDelta make_delta(const Snapshot& base, const Snapshot& next,
                                        std::uint64_t base_epoch, std::uint64_t epoch);
 
-/// Replays `delta` on top of `base`: merges the rows, refits a clone of the
-/// base model on them and sweeps the base REM's grid. Throws
-/// std::runtime_error when the base has no model or no REM, its model name
+/// Replays `delta` on top of `base`: merges the rows, refits the base model's
+/// zoo kind on them and sweeps the base REM's grid. Throws
+/// std::runtime_error when the base has no zoo model or no REM, its model name
 /// differs from the delta's, it does not match the recorded row count /
 /// CRC, or the rows are inconsistent. The result serialises
 /// byte-identically to the full snapshot the delta was computed against.

@@ -1,5 +1,6 @@
 #include "store/snapshot.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -8,13 +9,23 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ml/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "util/binary_io.hpp"
+#include "util/file.hpp"
 #include "util/fmt.hpp"
 
 namespace remgen::store {
+
+void save_mac(util::BinaryWriter& w, const radio::MacAddress& mac) {
+  w.bytes(mac.octets().data(), kMacBytes);
+}
+
+radio::MacAddress load_mac(util::BinaryReader& r) {
+  std::array<std::uint8_t, kMacBytes> octets{};
+  r.bytes(octets.data(), octets.size());
+  return radio::MacAddress(octets);
+}
 
 void write_sample_row(util::BinaryWriter& w, const data::Sample& s) {
   w.f64(s.position.x);
@@ -22,7 +33,7 @@ void write_sample_row(util::BinaryWriter& w, const data::Sample& s) {
   w.f64(s.position.z);
   w.str(s.ssid);
   w.f64(s.rss_dbm);
-  ml::save_mac(w, s.mac);
+  save_mac(w, s.mac);
   w.i64(s.channel);
   w.f64(s.timestamp_s);
   w.i64(s.uav_id);
@@ -58,7 +69,7 @@ data::Sample read_sample_row(util::BinaryReader& r) {
   s.position.z = finite_field(r, "z");
   s.ssid = r.str();
   s.rss_dbm = finite_field(r, "rss_dbm");
-  s.mac = ml::load_mac(r);
+  s.mac = load_mac(r);
   s.channel = int_field(r, "channel");
   s.timestamp_s = finite_field(r, "timestamp_s");
   s.uav_id = int_field(r, "uav_id");
@@ -91,7 +102,7 @@ void write_rem(util::BinaryWriter& w, const core::RadioEnvironmentMap& rem) {
   w.u64(g.ny());
   w.u64(g.nz());
   w.u64(rem.macs().size());
-  for (const radio::MacAddress& mac : rem.macs()) ml::save_mac(w, mac);
+  for (const radio::MacAddress& mac : rem.macs()) save_mac(w, mac);
   for (const radio::MacAddress& mac : rem.macs()) {
     for (const core::RemCell& cell : rem.layer(mac)) {
       w.f64(cell.rss_dbm);
@@ -116,8 +127,8 @@ core::RadioEnvironmentMap read_rem(util::BinaryReader& r) {
   const std::size_t ny = r.count(nx * kCellBytes);
   const std::size_t nz = r.count(nx * ny * kCellBytes);
   if (nx == 0 || ny == 0 || nz == 0) throw std::runtime_error("snapshot: empty REM grid axis");
-  std::vector<radio::MacAddress> macs(r.count(ml::kMacBytes + nx * ny * nz * kCellBytes));
-  for (radio::MacAddress& mac : macs) mac = ml::load_mac(r);
+  std::vector<radio::MacAddress> macs(r.count(kMacBytes + nx * ny * nz * kCellBytes));
+  for (radio::MacAddress& mac : macs) mac = load_mac(r);
   core::RadioEnvironmentMap rem(geom::GridGeometry(bounds, nx, ny, nz), macs);
   for (const radio::MacAddress& mac : macs) {
     for (core::RemCell& cell : rem.field(mac).values()) {
@@ -159,8 +170,13 @@ void save_snapshot(std::ostream& out, const Snapshot& snapshot) {
     write_section(w, SectionId::Rem, payload);
   }
   if (snapshot.model != nullptr) {
+    const std::optional<ml::ModelKind> kind = snapshot.model->kind();
+    if (!kind.has_value()) {
+      throw std::runtime_error(util::format("snapshot: model '{}' is not a zoo kind",
+                                            snapshot.model->name()));
+    }
     util::BinaryWriter payload;
-    ml::save_model(payload, *snapshot.model);
+    payload.str(ml::model_kind_name(*kind));
     write_section(w, SectionId::Model, payload);
   }
 
@@ -188,6 +204,7 @@ Snapshot load_snapshot(std::istream& in) {
   }
 
   Snapshot snapshot;
+  std::optional<ml::ModelKind> kind;
   const std::uint32_t sections = r.u32();
   for (std::uint32_t i = 0; i < sections; ++i) {
     const std::uint32_t id = r.u32();
@@ -201,9 +218,26 @@ Snapshot load_snapshot(std::istream& in) {
     switch (static_cast<SectionId>(id)) {
       case SectionId::Dataset: snapshot.dataset = read_dataset(section); break;
       case SectionId::Rem: snapshot.rem.emplace(read_rem(section)); break;
-      case SectionId::Model: snapshot.model = ml::load_model(section); break;
+      case SectionId::Model: {
+        const std::string name = section.str();
+        kind = ml::model_kind_from_name(name);
+        if (!kind.has_value()) {
+          throw std::runtime_error(util::format("snapshot: unknown model '{}'", name));
+        }
+        break;
+      }
       default: break;  // Unknown section from a newer writer: CRC-checked, skipped.
     }
+  }
+  // The model is its kind fitted on the rows; no fitted state is decoded,
+  // so nothing in the file reaches a hyperparameter.
+  if (kind.has_value()) {
+    if (snapshot.dataset.empty()) {
+      throw std::runtime_error("snapshot: model section without dataset rows to fit on");
+    }
+    snapshot.model = ml::make_model(*kind);
+    REMGEN_SCOPE("ml.fit");
+    snapshot.model->fit(snapshot.dataset.samples());
   }
   REMGEN_COUNTER_ADD("store.snapshot.loads", 1);
   return snapshot;
@@ -212,14 +246,7 @@ Snapshot load_snapshot(std::istream& in) {
 void save_snapshot_file(const std::string& path, const Snapshot& snapshot) {
   std::ostringstream out;
   save_snapshot(out, snapshot);
-  write_file(path, std::move(out).str());
-}
-
-void write_file(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (!out) throw std::runtime_error(util::format("cannot write '{}'", path));
+  util::write_file(path, std::move(out).str());
 }
 
 std::optional<Snapshot> build_snapshot(const data::Dataset& raw, ml::ModelKind kind,

@@ -10,7 +10,7 @@ namespace {
 PipelineConfig small_pipeline() {
   PipelineConfig config;
   config.campaign.grid = {.nx = 3, .ny = 2, .nz = 2, .margin_m = 0.3};
-  config.min_samples_per_mac = 8;
+  config.rem.min_samples_per_mac = 8;
   config.rem.voxel_m = 0.5;
   return config;
 }

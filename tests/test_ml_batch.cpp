@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/rem_builder.hpp"
-#include "data/feature_matrix.hpp"
 #include "exec/config.hpp"
 #include "ml/knn.hpp"
 #include "ml/kriging.hpp"
@@ -134,46 +133,6 @@ TEST(MlBatch, KrigingSigmaBatchMatchesScalar) {
     const KrigingRegressor::Prediction scalar = kriging.predict_with_sigma(queries[i]);
     EXPECT_EQ(scalar.value, batched[i].value) << "query " << i;
     EXPECT_EQ(scalar.sigma, batched[i].sigma) << "query " << i;
-  }
-}
-
-TEST(MlBatch, FeatureMatrixSnapshotRoundTrip) {
-  util::Rng rng(41);
-  data::FeatureMatrix m(7, 5);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (double& v : m.row(i)) v = rng.uniform(-100.0, 100.0);
-  }
-  util::BinaryWriter w;
-  m.save(w);
-  util::BinaryReader r(w.buffer());
-  const data::FeatureMatrix loaded = data::FeatureMatrix::load(r);
-  ASSERT_EQ(loaded.rows(), m.rows());
-  ASSERT_EQ(loaded.cols(), m.cols());
-  for (std::size_t i = 0; i < m.values().size(); ++i) {
-    EXPECT_EQ(loaded.values()[i], m.values()[i]);
-  }
-}
-
-TEST(MlBatch, KnnSnapshotRoundTripPredictsBitIdentically) {
-  const auto train = multi_mac_train(20, 51);
-  const auto queries = mixed_queries(train, 52);
-  KnnConfig config;
-  config.features = {.mac_onehot_scale = 3.0, .include_channel_onehot = true};
-  KnnRegressor original(config);
-  original.fit(train);
-
-  util::BinaryWriter w;
-  original.save(w);
-  util::BinaryReader r(w.buffer());
-  KnnRegressor restored;
-  restored.load(r);
-
-  std::vector<double> expected(queries.size(), 0.0);
-  std::vector<double> actual(queries.size(), 0.0);
-  original.predict_batch(queries, expected);
-  restored.predict_batch(queries, actual);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(expected[i], actual[i]) << "query " << i;
   }
 }
 

@@ -529,6 +529,45 @@ TEST_F(NetServerTest, OversizeRequestLineClosesOnlyItsOwnConnection) {
   EXPECT_EQ(lines[0], engine->execute(serve::parse_request(request)).to_jsonl());
 }
 
+TEST_F(NetServerTest, NonFiniteReplyIsAnErrorAndServingContinues) {
+  // One MAC's 40 samples read 1e308 dBm, so its mean-per-MAC prediction
+  // overflows to infinity, which JSON cannot carry.
+  store::Snapshot snapshot;
+  snapshot.dataset = synthetic_dataset(21);
+  for (int i = 0; i < 40; ++i) {
+    data::Sample s;
+    s.position = {0.1 * i, 1.0, 1.0};
+    s.mac = *radio::MacAddress::parse("02:00:00:00:00:0c");
+    s.rss_dbm = 1e308;
+    snapshot.dataset.add(s);
+  }
+  snapshot.model = ml::make_model(ml::ModelKind::BaselineMeanPerMac);
+  snapshot.model->fit(snapshot.dataset.samples());
+  const auto engine = std::make_shared<const serve::QueryEngine>(std::move(snapshot), 1 << 20);
+  ServerHarness harness;
+  harness.server().add_engine("default", engine);
+  const std::uint16_t port = harness.start();
+
+  Client first(port);
+  ASSERT_TRUE(first.connected());
+  first.send_all(
+      "{\"id\":1,\"type\":\"point\",\"mac\":\"02:00:00:00:00:0c\",\"x\":1,\"y\":1,\"z\":1}\n");
+  const std::vector<std::string> bad = first.read_lines(1);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_NE(bad[0].find("\"ok\":false"), std::string::npos) << bad[0];
+  EXPECT_NE(bad[0].find("non-finite"), std::string::npos) << bad[0];
+
+  Client second(port);
+  ASSERT_TRUE(second.connected());
+  const std::string request =
+      std::string("{\"id\":2,\"type\":\"point\",\"mac\":\"") + kMacA +
+      "\",\"x\":1.5,\"y\":1,\"z\":1}\n";
+  second.send_all(request);
+  const std::vector<std::string> good = second.read_lines(1);
+  ASSERT_EQ(good.size(), 1u);
+  EXPECT_EQ(good[0], engine->execute(serve::parse_request(request)).to_jsonl());
+}
+
 TEST_F(NetServerTest, HotReloadSwapsWithZeroDroppedRequests) {
   const std::string path = ::testing::TempDir() + "net_reload.snap";
   store::save_snapshot_file(path, make_snapshot(77));

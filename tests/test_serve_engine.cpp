@@ -521,5 +521,44 @@ TEST_F(ServeEngineTest, ExecuteCoalescedByteIdenticalToExecute) {
   }
 }
 
+// A MAC whose 40 samples read 1e308 dBm: each row is finite and passes the
+// CSV and snapshot row rules, but their mean overflows to infinity.
+store::Snapshot overflowing_snapshot() {
+  store::Snapshot snapshot;
+  snapshot.dataset = synthetic_dataset();
+  for (int i = 0; i < 40; ++i) {
+    snapshot.dataset.add(make_sample(0.1 * i, 1.0, 1.0, "02:00:00:00:00:0c", 1e308, 1));
+  }
+  snapshot.model = ml::make_model(ml::ModelKind::BaselineMeanPerMac);
+  snapshot.model->fit(snapshot.dataset.samples());
+  return snapshot;
+}
+
+TEST_F(ServeEngineTest, NonFiniteReplyIsARequestError) {
+  const QueryEngine engine(overflowing_snapshot(), 1 << 20);
+  Request bad;
+  bad.id = 1;
+  bad.mac = *radio::MacAddress::parse("02:00:00:00:00:0c");
+  bad.points.push_back({1.0, 1.0, 1.0});
+  Request best_ap = bad;  // Ranks every MAC, the overflowing one included.
+  best_ap.id = 2;
+  best_ap.mac.reset();
+  Request good = bad;
+  good.id = 3;
+  good.mac = *radio::MacAddress::parse(kMacA);
+
+  for (const Request& request : {bad, best_ap}) {
+    const Response response = engine.execute(request);
+    EXPECT_FALSE(response.ok) << response.to_jsonl();
+    EXPECT_NE(response.error.find("non-finite"), std::string::npos) << response.error;
+  }
+  // The coalesced point path builds its replies outside execute().
+  const std::vector<Response> coalesced = engine.execute_coalesced({bad, good});
+  ASSERT_EQ(coalesced.size(), 2u);
+  EXPECT_EQ(coalesced[0].to_jsonl(), engine.execute(bad).to_jsonl());
+  EXPECT_TRUE(coalesced[1].ok);
+  EXPECT_EQ(coalesced[1].to_jsonl(), engine.execute(good).to_jsonl());
+}
+
 }  // namespace
 }  // namespace remgen::serve

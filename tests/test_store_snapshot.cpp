@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "core/rem_builder.hpp"
+#include "ml/knn.hpp"
 #include "ml/model_zoo.hpp"
-#include "ml/serialize.hpp"
 #include "store/delta.hpp"
 #include "store/snapshot.hpp"
 #include "util/binary_io.hpp"
@@ -62,50 +62,6 @@ std::vector<data::Sample> query_points() {
 /// Bit pattern of a double: exact equality including signed zero.
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-// --- Model round-trips: every zoo estimator must predict bit-identically
-// --- after save -> load into a fresh instance.
-
-class StoreModelRoundTrip : public ::testing::TestWithParam<ml::ModelKind> {};
-
-TEST_P(StoreModelRoundTrip, PredictionsBitIdenticalAfterReload) {
-  const data::Dataset ds = synthetic_dataset();
-  const auto model = ml::make_model(GetParam());
-  model->fit(ds.samples());
-
-  util::BinaryWriter w;
-  ml::save_model(w, *model);
-  util::BinaryReader r(w.buffer());
-  const auto loaded = ml::load_model(r);
-  EXPECT_EQ(r.remaining(), 0u) << "loader must consume the exact payload";
-
-  for (const data::Sample& q : query_points()) {
-    EXPECT_EQ(bits(model->predict(q)), bits(loaded->predict(q)))
-        << ml::model_kind_name(GetParam()) << " diverged at (" << q.position.x << ", "
-        << q.position.y << ", " << q.position.z << ")";
-  }
-}
-
-TEST_P(StoreModelRoundTrip, SaveIsDeterministic) {
-  const data::Dataset ds = synthetic_dataset();
-  const auto model = ml::make_model(GetParam());
-  model->fit(ds.samples());
-  util::BinaryWriter first;
-  util::BinaryWriter second;
-  ml::save_model(first, *model);
-  ml::save_model(second, *model);
-  EXPECT_EQ(first.buffer(), second.buffer());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllZooModels, StoreModelRoundTrip,
-                         ::testing::ValuesIn(ml::all_model_kinds(true)),
-                         [](const auto& info) {
-                           std::string name = ml::model_kind_name(info.param);
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
-
 // --- Snapshot container ------------------------------------------------
 
 /// synthetic_dataset(per_mac) is a prefix of every longer one, so snapshots
@@ -134,6 +90,60 @@ std::string snapshot_bytes(const Snapshot& snapshot) {
 Snapshot load_bytes(const std::string& bytes) {
   std::istringstream in(bytes);
   return load_snapshot(in);
+}
+
+// --- Model round-trips: a snapshot names its model's zoo kind and the load
+// --- refits it on the Dataset rows. Every zoo estimator must predict
+// --- bit-identically after save -> load, and re-save to the same bytes.
+
+class StoreModelRoundTrip : public ::testing::TestWithParam<ml::ModelKind> {};
+
+/// The dataset and a model of the parameter's kind fitted on its rows.
+Snapshot model_snapshot(ml::ModelKind kind) {
+  Snapshot snapshot;
+  snapshot.dataset = synthetic_dataset();
+  snapshot.model = ml::make_model(kind);
+  snapshot.model->fit(snapshot.dataset.samples());
+  return snapshot;
+}
+
+TEST_P(StoreModelRoundTrip, PredictionsBitIdenticalAfterReload) {
+  const Snapshot original = model_snapshot(GetParam());
+  const Snapshot loaded = load_bytes(snapshot_bytes(original));
+  ASSERT_NE(loaded.model, nullptr);
+  EXPECT_EQ(loaded.model->kind(), GetParam());
+  for (const data::Sample& q : query_points()) {
+    EXPECT_EQ(bits(original.model->predict(q)), bits(loaded.model->predict(q)))
+        << ml::model_kind_name(GetParam()) << " diverged at (" << q.position.x << ", "
+        << q.position.y << ", " << q.position.z << ")";
+  }
+}
+
+TEST_P(StoreModelRoundTrip, SaveIsDeterministic) {
+  const std::string bytes = snapshot_bytes(model_snapshot(GetParam()));
+  EXPECT_EQ(snapshot_bytes(model_snapshot(GetParam())), bytes);
+  EXPECT_EQ(snapshot_bytes(load_bytes(bytes)), bytes) << "re-saving the loaded snapshot";
+  // The Model section is the kind's name and nothing else.
+  EXPECT_NE(bytes.find(ml::model_kind_name(GetParam())), std::string::npos);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooModels, StoreModelRoundTrip,
+                         ::testing::ValuesIn(ml::all_model_kinds(true)),
+                         [](const auto& info) {
+                           std::string name = ml::model_kind_name(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(StoreSnapshot, ModelWithoutAZooKindIsNotSaved) {
+  Snapshot snapshot;
+  snapshot.dataset = synthetic_dataset();
+  snapshot.model = std::make_unique<ml::KnnRegressor>();
+  snapshot.model->fit(snapshot.dataset.samples());
+  EXPECT_FALSE(snapshot.model->kind().has_value());
+  EXPECT_THROW((void)snapshot_bytes(snapshot), std::runtime_error);
 }
 
 TEST(StoreSnapshot, DatasetRoundTripsExactly) {
@@ -390,18 +400,9 @@ TEST(StoreSnapshot, InflatedRemGridIsRejected) {
   payload.u64(std::uint64_t{1} << 20);
   payload.u64(std::uint64_t{1} << 10);
   payload.u64(1);
-  ml::save_mac(payload, *radio::MacAddress::parse(kMacA));
+  save_mac(payload, *radio::MacAddress::parse(kMacA));
   const std::string bytes =
       one_section_file(kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Rem), payload);
-  expect_count_rejected([&] { (void)load_bytes(bytes); });
-}
-
-TEST(StoreSnapshot, InflatedNeuralNetLayerCountIsRejected) {
-  util::BinaryWriter payload;
-  payload.str("neural-net");
-  payload.u64(kInflatedCount);  // hidden layer sizes
-  const std::string bytes =
-      one_section_file(kSnapshotMagic, kSnapshotVersion, static_cast<std::uint32_t>(SectionId::Model), payload);
   expect_count_rejected([&] { (void)load_bytes(bytes); });
 }
 
@@ -415,6 +416,56 @@ TEST(StoreDelta, InflatedRowCountIsRejected) {
     std::istringstream in(bytes);
     (void)load_delta(in);
   });
+}
+
+// --- Load-or-reject: a CRC-valid file the loader cannot turn into a zoo
+// --- model fitted on rows throws std::runtime_error, never aborts.
+
+void expect_rejected(const std::string& bytes, const std::string& reason) {
+  try {
+    (void)load_bytes(bytes);
+    ADD_FAILURE() << "accepted a snapshot with " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+  }
+}
+
+/// A Model section naming `name`.
+util::BinaryWriter model_payload(std::string_view name) {
+  util::BinaryWriter payload;
+  payload.str(name);
+  return payload;
+}
+
+TEST(StoreSnapshot, UnknownModelKindIsRejected) {
+  expect_rejected(one_section_file(kSnapshotMagic, kSnapshotVersion,
+                                   static_cast<std::uint32_t>(SectionId::Model),
+                                   model_payload("knn-onehot-x4-k99")),
+                  "unknown model");
+  // Version 1's kNN state with n_neighbors = 0: the tag is no zoo kind, so
+  // no hyperparameter in the file reaches a model.
+  util::BinaryWriter v1_knn = model_payload("knn");
+  v1_knn.u64(0);
+  expect_rejected(one_section_file(kSnapshotMagic, kSnapshotVersion,
+                                   static_cast<std::uint32_t>(SectionId::Model), v1_knn),
+                  "unknown model");
+}
+
+TEST(StoreSnapshot, ModelWithoutDatasetRowsIsRejected) {
+  // No Dataset section at all, then an empty one ahead of the Model section.
+  const util::BinaryWriter model = model_payload("knn-onehot-x3-k16");
+  expect_rejected(one_section_file(kSnapshotMagic, kSnapshotVersion,
+                                   static_cast<std::uint32_t>(SectionId::Model), model),
+                  "without dataset rows");
+  Snapshot empty;
+  empty.model = ml::make_model(ml::ModelKind::KnnScaled16);
+  expect_rejected(snapshot_bytes(empty), "without dataset rows");
+}
+
+TEST(StoreSnapshot, VersionOneIsRejected) {
+  std::string bytes = snapshot_bytes(model_snapshot(ml::ModelKind::KnnScaled16));
+  bytes[8] = 1;  // Version field follows the 8-byte magic (little-endian).
+  expect_rejected(bytes, "unsupported version 1");
 }
 
 // --- Decoded rows obey the CSV row rule: a CRC-valid file carrying a
@@ -478,7 +529,7 @@ TEST(StoreSnapshot, IntegerFieldBeyondIntIsRejected) {
     for (int i = 0; i < 3; ++i) payload.f64(1.0);
     payload.str("net");
     payload.f64(-60.0);
-    ml::save_mac(payload, *radio::MacAddress::parse(kMacA));
+    save_mac(payload, *radio::MacAddress::parse(kMacA));
     const std::int64_t big = std::int64_t{1} << 40;
     payload.i64(field == "channel" ? big : 6);
     payload.f64(0.0);

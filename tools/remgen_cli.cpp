@@ -36,6 +36,7 @@
 #include "radio/scenario.hpp"
 #include "store/snapshot.hpp"
 #include "util/args.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -83,9 +84,7 @@ int usage() {
 }
 
 ml::ModelKind model_by_name(const std::string& name) {
-  for (const ml::ModelKind kind : ml::all_model_kinds(true)) {
-    if (name == ml::model_kind_name(kind)) return kind;
-  }
+  if (const std::optional<ml::ModelKind> kind = ml::model_kind_from_name(name)) return *kind;
   std::fprintf(stderr, "unknown model '%s'; available:", name.c_str());
   for (const ml::ModelKind kind : ml::all_model_kinds(true)) {
     std::fprintf(stderr, " %s", ml::model_kind_name(kind));
@@ -122,11 +121,11 @@ std::optional<store::Snapshot> snapshot_for(const data::Dataset& raw, const util
                                volume_for(args), config);
 }
 
-/// Writes `bytes` to `path` through store::write_file. On failure prints
+/// Writes `bytes` to `path` through util::write_file. On failure prints
 /// "error: cannot write '<path>'" and returns false.
 bool write_output(const std::string& path, std::string_view bytes) {
   try {
-    store::write_file(path, bytes);
+    util::write_file(path, bytes);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return false;

@@ -34,6 +34,7 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -43,6 +44,7 @@
 #include "geom/floorplan.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/source.hpp"
+#include "ml/model_zoo.hpp"
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "util/args.hpp"
@@ -95,9 +97,7 @@ void handle_signal(int) {
 }
 
 ml::ModelKind model_by_name(const std::string& name) {
-  for (const ml::ModelKind kind : ml::all_model_kinds(true)) {
-    if (name == ml::model_kind_name(kind)) return kind;
-  }
+  if (const std::optional<ml::ModelKind> kind = ml::model_kind_from_name(name)) return *kind;
   std::fprintf(stderr, "unknown model '%s'; available:", name.c_str());
   for (const ml::ModelKind kind : ml::all_model_kinds(true)) {
     std::fprintf(stderr, " %s", ml::model_kind_name(kind));

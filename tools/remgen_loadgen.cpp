@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "store/snapshot.hpp"
 #include "util/args.hpp"
+#include "util/file.hpp"
 #include "util/fmt.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -203,7 +203,7 @@ int run_replay(const std::string& host, std::uint16_t port, const std::string& r
     output += '\n';
   }
   try {
-    store::write_file(out_path, output);
+    util::write_file(out_path, output);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
