@@ -1,5 +1,7 @@
 #include "core/rem.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <ostream>
 
 #include "obs/scope.hpp"
@@ -64,24 +66,19 @@ std::optional<RadioEnvironmentMap::BestAp> RadioEnvironmentMap::best_ap(
   return best;
 }
 
+double RadioEnvironmentMap::best_rss(const geom::VoxelIndex& voxel) const {
+  double best = -std::numeric_limits<double>::infinity();
+  for (const radio::MacAddress& mac : macs_) {
+    best = std::max(best, fields_.at(mac).at(voxel).rss_dbm);
+  }
+  return best;
+}
+
 double RadioEnvironmentMap::coverage_fraction(double threshold_dbm) const {
   REMGEN_SCOPE("core.coverage");
-  std::size_t covered = 0;
   const std::size_t total = geometry_.voxel_count();
-  for (std::size_t iz = 0; iz < geometry_.nz(); ++iz) {
-    for (std::size_t iy = 0; iy < geometry_.ny(); ++iy) {
-      for (std::size_t ix = 0; ix < geometry_.nx(); ++ix) {
-        const geom::VoxelIndex v{ix, iy, iz};
-        for (const radio::MacAddress& mac : macs_) {
-          if (fields_.at(mac).at(v).rss_dbm >= threshold_dbm) {
-            ++covered;
-            break;
-          }
-        }
-      }
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(covered) / static_cast<double>(total);
+  const std::size_t dark = dark_voxels(threshold_dbm).size();
+  return total == 0 ? 0.0 : static_cast<double>(total - dark) / static_cast<double>(total);
 }
 
 std::vector<geom::VoxelIndex> RadioEnvironmentMap::dark_voxels(double threshold_dbm) const {
@@ -90,14 +87,7 @@ std::vector<geom::VoxelIndex> RadioEnvironmentMap::dark_voxels(double threshold_
     for (std::size_t iy = 0; iy < geometry_.ny(); ++iy) {
       for (std::size_t ix = 0; ix < geometry_.nx(); ++ix) {
         const geom::VoxelIndex v{ix, iy, iz};
-        bool covered = false;
-        for (const radio::MacAddress& mac : macs_) {
-          if (fields_.at(mac).at(v).rss_dbm >= threshold_dbm) {
-            covered = true;
-            break;
-          }
-        }
-        if (!covered) out.push_back(v);
+        if (!(best_rss(v) >= threshold_dbm)) out.push_back(v);  // Not covered.
       }
     }
   }

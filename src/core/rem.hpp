@@ -60,6 +60,10 @@ class RadioEnvironmentMap {
   };
   [[nodiscard]] std::optional<BestAp> best_ap(const geom::Vec3& point) const;
 
+  /// The strongest predicted RSS over every transmitter at one voxel (the
+  /// rule behind coverage_fraction, dark_voxels and volume queries).
+  [[nodiscard]] double best_rss(const geom::VoxelIndex& voxel) const;
+
   /// Fraction of voxels whose best predicted RSS is at least `threshold_dbm`.
   [[nodiscard]] double coverage_fraction(double threshold_dbm) const;
 

@@ -1,7 +1,6 @@
 #include "core/rem_builder.hpp"
 
-#include <algorithm>
-#include <unordered_map>
+#include <set>
 
 #include "exec/parallel.hpp"
 #include "ml/kriging.hpp"
@@ -24,29 +23,8 @@ RadioEnvironmentMap fit_and_sweep(const data::Dataset& prepared, ml::Estimator& 
     estimator.fit(prepared.samples());
   }
 
-  // Representative channel per MAC (most frequent) so estimators with channel
-  // features can be queried sensibly. Single hashed pass over the samples;
-  // ties break toward the lowest channel, as the ordered-map scan used to.
-  std::unordered_map<radio::MacAddress, std::unordered_map<int, std::size_t>> channel_counts;
-  channel_counts.reserve(64);
-  for (const data::Sample& s : prepared.samples()) ++channel_counts[s.mac][s.channel];
-  std::unordered_map<radio::MacAddress, int> channel_of;
-  channel_of.reserve(channel_counts.size());
-  std::vector<radio::MacAddress> macs;
-  macs.reserve(channel_counts.size());
-  for (const auto& [mac, counts] : channel_counts) {
-    int best_channel = 1;
-    std::size_t best_count = 0;
-    for (const auto& [channel, count] : counts) {
-      if (count > best_count || (count == best_count && channel < best_channel)) {
-        best_count = count;
-        best_channel = channel;
-      }
-    }
-    channel_of[mac] = best_channel;
-    macs.push_back(mac);
-  }
-  std::sort(macs.begin(), macs.end());
+  const std::set<radio::MacAddress> mac_set = prepared.distinct_macs();
+  const std::vector<radio::MacAddress> macs(mac_set.begin(), mac_set.end());
 
   const auto* kriging = dynamic_cast<const ml::KrigingRegressor*>(&estimator);
 
@@ -78,11 +56,7 @@ RadioEnvironmentMap fit_and_sweep(const data::Dataset& prepared, ml::Estimator& 
           thread_local std::vector<double> values;
           thread_local std::vector<ml::KrigingRegressor::Prediction> predictions;
           if (queries.size() != nx) queries.resize(nx);
-          const int channel = channel_of.at(mac);
-          for (data::Sample& q : queries) {
-            q.mac = mac;
-            q.channel = channel;
-          }
+          for (data::Sample& q : queries) q.mac = mac;
           for (std::size_t iy = 0; iy < ny; ++iy) {
             for (std::size_t ix = 0; ix < nx; ++ix) {
               queries[ix].position = g.voxel_center({ix, iy, iz});

@@ -13,14 +13,12 @@ FeatureEncoder FeatureEncoder::fit(std::span<const Sample> samples, const Featur
   FeatureEncoder enc;
   enc.config_ = config;
 
-  // Sorted vocabularies make the encoding independent of sample order.
+  // A sorted vocabulary makes the encoding independent of sample order.
   std::set<radio::MacAddress> macs;
-  std::set<int> channels;
   geom::Vec3 lo = samples.front().position;
   geom::Vec3 hi = lo;
   for (const Sample& s : samples) {
     macs.insert(s.mac);
-    channels.insert(s.channel);
     lo = {std::min(lo.x, s.position.x), std::min(lo.y, s.position.y),
           std::min(lo.z, s.position.z)};
     hi = {std::max(hi.x, s.position.x), std::max(hi.y, s.position.y),
@@ -28,8 +26,6 @@ FeatureEncoder FeatureEncoder::fit(std::span<const Sample> samples, const Featur
   }
   int next = 0;
   for (const radio::MacAddress& mac : macs) enc.mac_index_[mac] = next++;
-  next = 0;
-  for (const int c : channels) enc.channel_index_[c] = next++;
 
   enc.position_min_ = lo;
   constexpr double kEps = 1e-9;
@@ -39,7 +35,6 @@ FeatureEncoder FeatureEncoder::fit(std::span<const Sample> samples, const Featur
   enc.dimension_ = 0;
   if (config.include_position) enc.dimension_ += 3;
   if (config.include_mac_onehot) enc.dimension_ += enc.mac_index_.size();
-  if (config.include_channel_onehot) enc.dimension_ += enc.channel_index_.size();
   REMGEN_ENSURES(enc.dimension_ > 0);
   return enc;
 }
@@ -47,11 +42,6 @@ FeatureEncoder FeatureEncoder::fit(std::span<const Sample> samples, const Featur
 int FeatureEncoder::mac_index(const radio::MacAddress& mac) const {
   const auto it = mac_index_.find(mac);
   return it == mac_index_.end() ? -1 : it->second;
-}
-
-int FeatureEncoder::channel_index(int channel) const {
-  const auto it = channel_index_.find(channel);
-  return it == channel_index_.end() ? -1 : it->second;
 }
 
 std::vector<double> FeatureEncoder::encode(const Sample& sample) const {
@@ -76,17 +66,9 @@ void FeatureEncoder::encode_into(const Sample& sample, std::span<double> out) co
     base = 3;
   }
   if (config_.include_mac_onehot) {
-    std::fill(out.begin() + static_cast<std::ptrdiff_t>(base),
-              out.begin() + static_cast<std::ptrdiff_t>(base + mac_index_.size()), 0.0);
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(), 0.0);
     if (const int idx = mac_index(sample.mac); idx >= 0) {
       out[base + static_cast<std::size_t>(idx)] = config_.mac_onehot_scale;
-    }
-    base += mac_index_.size();
-  }
-  if (config_.include_channel_onehot) {
-    std::fill(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(), 0.0);
-    if (const auto it = channel_index_.find(sample.channel); it != channel_index_.end()) {
-      out[base + static_cast<std::size_t>(it->second)] = 1.0;
     }
   }
 }

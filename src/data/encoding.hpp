@@ -1,10 +1,11 @@
 // Feature encoding for the ML stage.
 //
-// The paper's feature set is the (x, y, z) coordinates plus the one-hot
-// encoded MAC address (and optionally the channel), with a variant that
-// multiplies the one-hot block by a scale factor so samples from different
-// APs are pushed further apart in kNN feature space (scale 3 with k=16 was
-// the paper's best configuration).
+// The features are the (x, y, z) coordinates plus the one-hot encoded MAC
+// address, with a variant that multiplies the one-hot block by a scale
+// factor so samples from different APs are pushed further apart in kNN
+// feature space (scale 3 with k=16 was the paper's best configuration). The
+// paper also one-hot encodes the channel; no reproduced model used that
+// block, so a query is a MAC and a point.
 #pragma once
 
 #include <span>
@@ -21,16 +22,15 @@ struct FeatureConfig {
   bool include_position = true;
   bool include_mac_onehot = true;
   double mac_onehot_scale = 1.0;     ///< Multiplier on the one-hot block.
-  bool include_channel_onehot = false;
   bool normalize_position = false;   ///< Min-max scale coordinates to [0,1]
                                      ///< (used by the neural network).
 };
 
-/// Vocabulary-based encoder fitted on training data. Unknown MACs/channels
-/// at prediction time encode as all-zero one-hot blocks.
+/// Vocabulary-based encoder fitted on training data. An unknown MAC at
+/// prediction time encodes as an all-zero one-hot block.
 class FeatureEncoder {
  public:
-  /// Learns the MAC/channel vocabularies and position ranges from `samples`.
+  /// Learns the MAC vocabulary and position ranges from `samples`.
   [[nodiscard]] static FeatureEncoder fit(std::span<const Sample> samples,
                                           const FeatureConfig& config);
 
@@ -42,14 +42,6 @@ class FeatureEncoder {
 
   /// Index of a MAC in the vocabulary, or -1 if unseen during fit.
   [[nodiscard]] int mac_index(const radio::MacAddress& mac) const;
-
-  /// Number of channels in the vocabulary.
-  [[nodiscard]] std::size_t channel_vocabulary_size() const noexcept {
-    return channel_index_.size();
-  }
-
-  /// Index of a channel in the vocabulary, or -1 if unseen during fit.
-  [[nodiscard]] int channel_index(int channel) const;
 
   /// Encodes one sample.
   [[nodiscard]] std::vector<double> encode(const Sample& sample) const;
@@ -67,7 +59,6 @@ class FeatureEncoder {
  private:
   FeatureConfig config_;
   std::unordered_map<radio::MacAddress, int> mac_index_;
-  std::unordered_map<int, int> channel_index_;
   geom::Vec3 position_min_;
   geom::Vec3 position_range_;  ///< Componentwise max-min, floored at epsilon.
   std::size_t dimension_ = 0;

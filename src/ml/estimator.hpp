@@ -1,8 +1,9 @@
 // Regression estimator interface for RSS prediction.
 //
-// Estimators consume training Samples directly (position + MAC + channel +
-// RSS); feature encoding is an implementation detail of each estimator, which
-// keeps per-MAC model families natural to express.
+// Estimators consume training Samples directly and read only their position,
+// MAC and RSS: a query is a MAC and a point, and a query Sample's other
+// fields are ignored. Feature encoding is an implementation detail of each
+// estimator, which keeps per-MAC model families natural to express.
 #pragma once
 
 #include <memory>

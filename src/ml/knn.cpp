@@ -36,19 +36,17 @@ void KnnRegressor::fit(std::span<const data::Sample> train) {
   const std::size_t pos_dims = f.include_position ? 3 : 0;
   positions_ = data::FeatureMatrix(train.size(), pos_dims);
   row_mac_.assign(train.size(), -1);
-  row_channel_.assign(train.size(), -1);
   std::vector<double> encoded(encoder_.dimension());
   for (std::size_t i = 0; i < train.size(); ++i) {
     encoder_.encode_into(train[i], encoded);
     std::copy_n(encoded.begin(), pos_dims, positions_.row(i).begin());
     if (f.include_mac_onehot) row_mac_[i] = encoder_.mac_index(train[i].mac);
-    if (f.include_channel_onehot) row_channel_[i] = encoder_.channel_index(train[i].channel);
   }
   targets_ = data::rss_targets(train);
 
   tree_.reset();
-  if (f.include_position && !f.include_mac_onehot && !f.include_channel_onehot &&
-      !f.normalize_position && config_.minkowski_p == 2.0) {
+  if (f.include_position && !f.include_mac_onehot && !f.normalize_position &&
+      config_.minkowski_p == 2.0) {
     // Unnormalized position-only encoding is the raw coordinates, and
     // minkowski p=2 is Vec3::distance_to — the tree query is exact.
     std::vector<geom::Vec3> positions;
@@ -109,11 +107,11 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
   }
 
   // Brute path. The whole Minkowski dispatch is hoisted out of the per-row
-  // loop: p is classified once, 1/p computed once, and — because a one-hot
-  // block differs from a query's block in at most two positions — each row's
-  // entire block collapses to one of three precomputed penalty constants
-  // (match, mismatch, or query-MAC-unknown). The inner loop is then a
-  // contiguous 3-element position scan plus O(1) penalty adds, selecting
+  // loop: p is classified once, 1/p computed once, and — because the MAC
+  // one-hot block differs from a query's block in at most two positions —
+  // each row's entire block collapses to one of three precomputed penalty
+  // constants (match, mismatch, or query-MAC-unknown). The inner loop is
+  // then a contiguous 3-element position scan plus an O(1) penalty add, selecting
   // neighbours on the pre-distance (monotone in the true distance) and
   // deferring sqrt/pow to the at-most-k selected rows.
   const double p = config_.minkowski_p;
@@ -133,8 +131,6 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
   // contribute phi(scale). Unknown query key: only the row's element does.
   const double mac_mismatch = f.include_mac_onehot ? 2.0 * phi(f.mac_onehot_scale) : 0.0;
   const double mac_unknown = f.include_mac_onehot ? phi(f.mac_onehot_scale) : 0.0;
-  const double ch_mismatch = f.include_channel_onehot ? 2.0 * phi(1.0) : 0.0;
-  const double ch_unknown = f.include_channel_onehot ? phi(1.0) : 0.0;
 
   thread_local std::vector<double> qrow;
   thread_local std::vector<std::pair<double, std::size_t>> pre;
@@ -146,15 +142,11 @@ void KnnRegressor::predict_batch(std::span<const data::Sample> queries,
     const data::Sample& query = queries[qi];
     encoder_.encode_into(query, qrow);
     const int q_mac = f.include_mac_onehot ? encoder_.mac_index(query.mac) : -1;
-    const int q_ch = f.include_channel_onehot ? encoder_.channel_index(query.channel) : -1;
     const double* qpos = qrow.data();
     for (std::size_t i = 0; i < rows; ++i) {
       double acc = minkowski_pre(qpos, positions_.row_ptr(i), pos_dims, kind, p);
       if (f.include_mac_onehot) {
         acc += q_mac < 0 ? mac_unknown : (row_mac_[i] == q_mac ? 0.0 : mac_mismatch);
-      }
-      if (f.include_channel_onehot) {
-        acc += q_ch < 0 ? ch_unknown : (row_channel_[i] == q_ch ? 0.0 : ch_mismatch);
       }
       pre[i] = {acc, i};
     }

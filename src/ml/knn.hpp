@@ -45,13 +45,12 @@ class KnnRegressor final : public Estimator {
   KnnConfig config_;
   data::FeatureEncoder encoder_;
   /// Each training row's encoded position block (0 or 3 columns), row-major
-  /// in one allocation so the brute scan is cache-linear. The one-hot blocks
-  /// are not stored: the brute kernel folds a row's whole block into an O(1)
-  /// penalty term from the row's vocabulary indices below.
+  /// in one allocation so the brute scan is cache-linear. The MAC one-hot
+  /// block is not stored: the brute kernel folds a row's whole block into an
+  /// O(1) penalty term from the row's vocabulary index below.
   data::FeatureMatrix positions_;
   std::vector<double> targets_;
-  std::vector<int> row_mac_;      ///< Per-row MAC vocab index (-1 if none).
-  std::vector<int> row_channel_;  ///< Per-row channel vocab index (-1 if none).
+  std::vector<int> row_mac_;  ///< Per-row MAC vocab index (-1 if none).
   /// Engaged when the feature space is the raw (x, y, z) coordinates with
   /// p = 2: the Euclidean KD-tree query then returns the same neighbour set
   /// as the brute-force scan, at O(log n) per query instead of O(n).

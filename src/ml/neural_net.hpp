@@ -32,7 +32,6 @@ struct NeuralNetConfig {
   data::FeatureConfig features{.include_position = true,
                                .include_mac_onehot = true,
                                .mac_onehot_scale = 1.0,
-                               .include_channel_onehot = false,
                                .normalize_position = true};
 };
 

@@ -17,7 +17,6 @@ PerMacKnn::PerMacKnn(const KnnConfig& config) : config_(config) {
   // per-MAC model queries in O(log n).
   config_.features.include_position = true;
   config_.features.include_mac_onehot = false;
-  config_.features.include_channel_onehot = false;
 }
 
 void PerMacKnn::fit(std::span<const data::Sample> train) {

@@ -4,8 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <istream>
-#include <limits>
+#include <map>
 #include <ostream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -58,59 +59,42 @@ QueryEngine::QueryEngine(store::Snapshot snapshot, std::size_t cache_bytes)
   if (snapshot_.model == nullptr) {
     throw std::runtime_error("serve: snapshot carries no model");
   }
-  // Channel context per MAC, as `remgen query` derives it: the MAC's latest
-  // sample wins. Queries must see the same Sample shape the CLI builds, or
-  // encoders with channel one-hots would diverge from in-process predictions.
-  for (const data::Sample& s : snapshot_.dataset.samples()) channel_of_[s.mac] = s.channel;
-  macs_.reserve(channel_of_.size());
-  for (const auto& [mac, channel] : channel_of_) macs_.push_back(mac);
+  const std::set<radio::MacAddress> macs = snapshot_.dataset.distinct_macs();
+  macs_.assign(macs.begin(), macs.end());
 }
 
-double QueryEngine::predict(const radio::MacAddress& mac, const geom::Vec3& point) const {
-  if (const std::optional<double> cached = cache_.get(mac, point); cached.has_value()) {
-    return *cached;
-  }
-  data::Sample query;
-  query.mac = mac;
-  const auto it = channel_of_.find(mac);
-  query.channel = it == channel_of_.end() ? 0 : it->second;
-  query.position = point;
-  const double rss = snapshot_.model->predict(query);
-  cache_.put(mac, point, rss);
-  return rss;
+bool QueryEngine::knows(const radio::MacAddress& mac) const {
+  return std::binary_search(macs_.begin(), macs_.end(), mac);
 }
 
-void QueryEngine::predict_many(const radio::MacAddress& mac, std::span<const geom::Vec3> points,
-                               std::span<double> out) const {
+void QueryEngine::predict_many(std::span<const MacPoint> queries, std::span<double> out) const {
   // Cache pass first; every miss is collected and answered by one batched
-  // model call. Values are identical to per-point predict(): the model's
-  // batched kernel is bit-identical to its scalar path, and duplicate points
-  // within one batch produce duplicate (equal) predictions.
+  // model call. The model's batched kernel is bit-identical to its scalar
+  // path, so a value never depends on which queries shared its batch, and
+  // duplicate queries within one batch produce duplicate (equal) predictions.
   thread_local std::vector<std::size_t> miss_index;
   thread_local std::vector<data::Sample> miss_queries;
   thread_local std::vector<double> miss_values;
   miss_index.clear();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (const std::optional<double> cached = cache_.get(mac, points[i]); cached.has_value()) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::optional<double> cached = cache_.get(queries[i].mac, queries[i].point);
+    if (cached.has_value()) {
       out[i] = *cached;
     } else {
       miss_index.push_back(i);
     }
   }
   if (miss_index.empty()) return;
-  const auto it = channel_of_.find(mac);
-  const int channel = it == channel_of_.end() ? 0 : it->second;
   miss_queries.resize(miss_index.size());
   miss_values.resize(miss_index.size());
   for (std::size_t j = 0; j < miss_index.size(); ++j) {
-    data::Sample& q = miss_queries[j];
-    q.mac = mac;
-    q.channel = channel;
-    q.position = points[miss_index[j]];
+    miss_queries[j].mac = queries[miss_index[j]].mac;
+    miss_queries[j].position = queries[miss_index[j]].point;
   }
   snapshot_.model->predict_batch(miss_queries, miss_values);
   for (std::size_t j = 0; j < miss_index.size(); ++j) {
-    cache_.put(mac, points[miss_index[j]], miss_values[j]);
+    const MacPoint& q = queries[miss_index[j]];
+    cache_.put(q.mac, q.point, miss_values[j]);
     out[miss_index[j]] = miss_values[j];
   }
 }
@@ -119,48 +103,30 @@ Response QueryEngine::execute_point(const Request& request) const {
   Response response;
   response.id = request.id;
   const geom::Vec3& point = request.points.front();
+  if (request.mac.has_value() && !knows(*request.mac)) {
+    throw std::runtime_error(util::format("unknown mac '{}'", request.mac->to_string()));
+  }
+  // One MAC at the point, or for best-AP every known MAC (macs_ is sorted,
+  // so per-MAC estimators see one run per MAC in the batch).
+  thread_local std::vector<MacPoint> queries;
+  thread_local std::vector<double> values;
+  queries.clear();
+  if (request.mac.has_value()) {
+    queries.push_back({*request.mac, point});
+  } else {
+    for (const radio::MacAddress& mac : macs_) queries.push_back({mac, point});
+  }
+  values.resize(queries.size());
+  predict_many(queries, values);
   obs::Json::Object body;
   if (request.mac.has_value()) {
-    if (channel_of_.find(*request.mac) == channel_of_.end()) {
-      throw std::runtime_error(
-          util::format("unknown mac '{}'", request.mac->to_string()));
-    }
     body["mac"] = obs::Json(request.mac->to_string());
-    body["rss_dbm"] = obs::Json(predict(*request.mac, point));
+    body["rss_dbm"] = obs::Json(values.front());
   } else {
-    // Best-AP: every known transmitter evaluated at the point, strongest
-    // first; ties broken by MAC so the ordering is deterministic. Cache
-    // misses across the whole MAC set are answered with ONE batched model
-    // call (macs_ is sorted, so per-MAC estimators see one run per MAC).
+    // Strongest first; ties broken by MAC so the ordering is deterministic.
     std::vector<std::pair<double, radio::MacAddress>> ranked;
     ranked.reserve(macs_.size());
-    thread_local std::vector<std::size_t> miss_index;
-    thread_local std::vector<data::Sample> miss_queries;
-    thread_local std::vector<double> miss_values;
-    miss_index.clear();
-    miss_queries.clear();
-    for (std::size_t i = 0; i < macs_.size(); ++i) {
-      const radio::MacAddress& mac = macs_[i];
-      const std::optional<double> cached = cache_.get(mac, point);
-      ranked.emplace_back(cached.value_or(0.0), mac);
-      if (!cached.has_value()) {
-        miss_index.push_back(i);
-        data::Sample q;
-        q.mac = mac;
-        q.channel = channel_of_.at(mac);
-        q.position = point;
-        miss_queries.push_back(std::move(q));
-      }
-    }
-    if (!miss_index.empty()) {
-      miss_values.resize(miss_queries.size());
-      snapshot_.model->predict_batch(miss_queries, miss_values);
-      for (std::size_t j = 0; j < miss_index.size(); ++j) {
-        const radio::MacAddress& mac = macs_[miss_index[j]];
-        cache_.put(mac, point, miss_values[j]);
-        ranked[miss_index[j]].first = miss_values[j];
-      }
-    }
+    for (std::size_t i = 0; i < macs_.size(); ++i) ranked.emplace_back(values[i], macs_[i]);
     std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first > b.first;
       return a.second < b.second;
@@ -183,17 +149,19 @@ Response QueryEngine::execute_batch(const Request& request) const {
   if (!request.mac.has_value()) {
     throw std::runtime_error("batch queries need a 'mac'");
   }
-  if (channel_of_.find(*request.mac) == channel_of_.end()) {
+  if (!knows(*request.mac)) {
     throw std::runtime_error(util::format("unknown mac '{}'", request.mac->to_string()));
   }
   REMGEN_HISTOGRAM_OBSERVE("serve.batch_points", request.points.size(),
                            {1, 8, 64, 512, 4096});
   Response response;
   response.id = request.id;
-  // One cache pass + one batched model call for all the batch's misses.
+  thread_local std::vector<MacPoint> batch_queries;
   thread_local std::vector<double> batch_values;
-  batch_values.resize(request.points.size());
-  predict_many(*request.mac, request.points, batch_values);
+  batch_queries.clear();
+  for (const geom::Vec3& point : request.points) batch_queries.push_back({*request.mac, point});
+  batch_values.resize(batch_queries.size());
+  predict_many(batch_queries, batch_values);
   obs::Json::Array values;
   values.reserve(request.points.size());
   for (const double v : batch_values) values.push_back(obs::Json(v));
@@ -219,10 +187,7 @@ Response QueryEngine::execute_volume(const Request& request) const {
     if (zc < request.z_lo || zc > request.z_hi) continue;
     for (std::size_t iy = 0; iy < g.ny(); ++iy) {
       for (std::size_t ix = 0; ix < g.nx(); ++ix) {
-        double best = -std::numeric_limits<double>::infinity();
-        for (const radio::MacAddress& mac : rem.macs()) {
-          best = std::max(best, rem.cell(mac, {ix, iy, iz}).rss_dbm);
-        }
+        const double best = rem.best_rss({ix, iy, iz});
         ++voxels;
         rss_sum += best;
         if (best >= request.threshold_dbm) ++covered;
@@ -265,9 +230,10 @@ std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>&
   // Work units: single-point queries naming a known MAC are grouped per MAC
   // and answered by ONE predict_many call (cache misses across the whole
   // group become one predict_batch); everything else — best-AP, batch,
-  // volume, unknown MAC — executes individually. predict_many is bit-
-  // identical to per-point predict(), so every response matches what
-  // execute() would have produced, byte for byte.
+  // volume, unknown MAC — executes individually. execute() answers a point
+  // through the same predict_many, whose values do not depend on the batch,
+  // so every response matches what execute() would have produced, byte for
+  // byte.
   struct Unit {
     std::optional<radio::MacAddress> mac;  // Set => coalesced point group.
     std::vector<std::size_t> indices;      // Request indices in input order.
@@ -276,8 +242,7 @@ std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>&
   std::map<radio::MacAddress, std::size_t> group_of;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
-    if (r.type == RequestType::Point && r.mac.has_value() &&
-        channel_of_.find(*r.mac) != channel_of_.end()) {
+    if (r.type == RequestType::Point && r.mac.has_value() && knows(*r.mac)) {
       const auto [it, inserted] = group_of.try_emplace(*r.mac, units.size());
       if (inserted) units.push_back(Unit{*r.mac, {}});
       units[it->second].indices.push_back(i);
@@ -296,12 +261,14 @@ std::vector<Response> QueryEngine::execute_coalesced(const std::vector<Request>&
     }
     REMGEN_COUNTER_ADD("serve.queries", static_cast<std::int64_t>(unit.indices.size()));
     REMGEN_HISTOGRAM_OBSERVE("serve.coalesced_points", unit.indices.size(), {1, 8, 64, 512, 4096});
-    thread_local std::vector<geom::Vec3> unit_points;
+    thread_local std::vector<MacPoint> unit_queries;
     thread_local std::vector<double> unit_values;
-    unit_points.clear();
-    for (const std::size_t i : unit.indices) unit_points.push_back(requests[i].points.front());
-    unit_values.resize(unit_points.size());
-    predict_many(*unit.mac, unit_points, unit_values);
+    unit_queries.clear();
+    for (const std::size_t i : unit.indices) {
+      unit_queries.push_back({*unit.mac, requests[i].points.front()});
+    }
+    unit_values.resize(unit_queries.size());
+    predict_many(unit_queries, unit_values);
     for (std::size_t j = 0; j < unit.indices.size(); ++j) {
       const std::size_t i = unit.indices[j];
       Response response;

@@ -2,16 +2,19 @@
 //
 // The engine answers point, batch, and volume queries against the trained
 // model and baked REM a snapshot carries, with a sharded LRU cache in front
-// of the model. Requests are executed concurrently on the shared
-// exec::ThreadPool, but responses are deterministic: input lines are parsed
-// sequentially, executed into index-addressed slots, then emitted sorted by
-// request id (ties broken by input order) — so the response stream is
-// byte-identical at any --threads value.
+// of the model. A model query is a (MAC, point) pair: single-MAC points,
+// best-AP rankings, batches and coalesced point groups all reach the model
+// through one cache-through batch call, so a served value is the REM
+// builder's prediction of the same query. Requests are executed
+// concurrently on the shared exec::ThreadPool, but responses are
+// deterministic: input lines are parsed sequentially, executed into
+// index-addressed slots, then emitted sorted by request id (ties broken by
+// input order) — so the response stream is byte-identical at any --threads
+// value.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -70,21 +73,23 @@ class QueryEngine {
   [[nodiscard]] const ResultCache& cache() const noexcept { return cache_; }
 
  private:
-  /// Model prediction for one (MAC, point), through the cache.
-  [[nodiscard]] double predict(const radio::MacAddress& mac, const geom::Vec3& point) const;
+  /// One model query: a transmitter and a point.
+  struct MacPoint {
+    radio::MacAddress mac;
+    geom::Vec3 point;
+  };
 
-  /// Batched model predictions for one MAC at many points, through the
-  /// cache: hits are answered from the cache, and all misses go to the model
-  /// in ONE predict_batch call instead of one predict per point.
-  void predict_many(const radio::MacAddress& mac, std::span<const geom::Vec3> points,
-                    std::span<double> out) const;
+  /// The one path from a point query to the model: a cache pass over every
+  /// query, ONE predict_batch call for all the misses, then the cache puts.
+  void predict_many(std::span<const MacPoint> queries, std::span<double> out) const;
+  /// Whether `mac` is one of macs().
+  [[nodiscard]] bool knows(const radio::MacAddress& mac) const;
   [[nodiscard]] Response execute_point(const Request& request) const;
   [[nodiscard]] Response execute_batch(const Request& request) const;
   [[nodiscard]] Response execute_volume(const Request& request) const;
 
   store::Snapshot snapshot_;
   std::vector<radio::MacAddress> macs_;
-  std::map<radio::MacAddress, int> channel_of_;
   mutable ResultCache cache_;
 };
 

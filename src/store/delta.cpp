@@ -8,6 +8,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
+#include "store/sections.hpp"
 #include "util/binary_io.hpp"
 #include "util/file.hpp"
 #include "util/fmt.hpp"
@@ -15,13 +16,6 @@
 namespace remgen::store {
 
 namespace {
-
-void write_section(util::BinaryWriter& out, DeltaSectionId id, const util::BinaryWriter& payload) {
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(payload.size());
-  out.u32(util::crc32(payload.buffer()));
-  out.bytes(payload.buffer().data(), payload.size());
-}
 
 /// One row's REMSNAP1 encoding as a comparable byte string.
 std::string row_bytes(const data::Sample& s) {
@@ -147,67 +141,34 @@ Snapshot apply_delta(const Snapshot& base, const SnapshotDelta& delta) {
 
 void save_delta(std::ostream& out, const SnapshotDelta& delta) {
   REMGEN_SCOPE("store.save_delta");
-  util::BinaryWriter w;
-  w.bytes(kDeltaMagic.data(), kDeltaMagic.size());
-  w.u32(kDeltaVersion);
-
-  std::uint32_t sections = 1;  // Meta is always present.
-  if (!delta.added_rows.empty()) ++sections;
-  w.u32(sections);
-
-  {
-    util::BinaryWriter payload;
-    payload.u64(delta.base_epoch);
-    payload.u64(delta.epoch);
-    payload.u64(delta.base_rows);
-    payload.u32(delta.base_dataset_crc);
-    payload.u64(delta.final_rows);
-    payload.str(delta.model_name);
-    write_section(w, DeltaSectionId::Meta, payload);
-  }
+  std::vector<Section> sections;
+  const auto section = [&sections](DeltaSectionId id) -> util::BinaryWriter& {
+    return sections.emplace_back(Section{static_cast<std::uint32_t>(id), {}}).payload;
+  };
+  util::BinaryWriter& meta = section(DeltaSectionId::Meta);  // Always present.
+  meta.u64(delta.base_epoch);
+  meta.u64(delta.epoch);
+  meta.u64(delta.base_rows);
+  meta.u32(delta.base_dataset_crc);
+  meta.u64(delta.final_rows);
+  meta.str(delta.model_name);
   if (!delta.added_rows.empty()) {
-    util::BinaryWriter payload;
-    payload.u64(delta.added_rows.size());
+    util::BinaryWriter& rows = section(DeltaSectionId::DatasetRows);
+    rows.u64(delta.added_rows.size());
     for (const DeltaRow& row : delta.added_rows) {
-      payload.u64(row.position);
-      write_sample_row(payload, row.sample);
+      rows.u64(row.position);
+      write_sample_row(rows, row.sample);
     }
-    write_section(w, DeltaSectionId::DatasetRows, payload);
   }
-
-  out.write(w.buffer().data(), static_cast<std::streamsize>(w.size()));
-  if (!out) throw std::runtime_error("delta: write failed");
+  const std::size_t bytes = write_sections(out, kDeltaMagic, kDeltaVersion, sections, "delta");
   REMGEN_COUNTER_ADD("store.delta.saves", 1);
-  REMGEN_COUNTER_ADD("store.delta.bytes_written", static_cast<std::int64_t>(w.size()));
+  REMGEN_COUNTER_ADD("store.delta.bytes_written", static_cast<std::int64_t>(bytes));
 }
 
 SnapshotDelta load_delta(std::istream& in) {
   REMGEN_SCOPE("store.load_delta");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  util::BinaryReader r(bytes);
-
-  if (r.remaining() < kDeltaMagic.size() || r.view(kDeltaMagic.size()) != kDeltaMagic) {
-    throw std::runtime_error("delta: bad magic (not a REM delta)");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kDeltaVersion) {
-    throw std::runtime_error(
-        util::format("delta: unsupported version {} (expected {})", version, kDeltaVersion));
-  }
-
   SnapshotDelta delta;
-  const std::uint32_t sections = r.u32();
-  for (std::uint32_t i = 0; i < sections; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t size = r.u64();
-    const std::uint32_t crc = r.u32();
-    const std::string_view payload = r.view(size);
-    if (util::crc32(payload) != crc) {
-      throw std::runtime_error(util::format("delta: CRC mismatch in section {}", id));
-    }
-    util::BinaryReader section(payload);
+  const auto visit = [&delta](std::uint32_t id, util::BinaryReader& section) {
     switch (static_cast<DeltaSectionId>(id)) {
       case DeltaSectionId::Meta:
         delta.base_epoch = section.u64();
@@ -217,17 +178,17 @@ SnapshotDelta load_delta(std::istream& in) {
         delta.final_rows = section.u64();
         delta.model_name = section.str();
         break;
-      case DeltaSectionId::DatasetRows: {
+      case DeltaSectionId::DatasetRows:
         delta.added_rows.resize(section.count(8 + kSampleRowMinBytes));
         for (DeltaRow& row : delta.added_rows) {
           row.position = section.u64();
           row.sample = read_sample_row(section);
         }
         break;
-      }
       default: break;  // Unknown section from a newer writer: CRC-checked, skipped.
     }
-  }
+  };
+  read_sections(in, kDeltaMagic, kDeltaVersion, "delta", visit);
   REMGEN_COUNTER_ADD("store.delta.loads", 1);
   return delta;
 }

@@ -15,7 +15,7 @@
 // one-shot batch build; it pays a refit and a sweep per delta instead of
 // receiving them.
 //
-// Layout mirrors REMSNAP1 (util::BinaryWriter little-endian framing):
+// Layout mirrors REMSNAP1 (the store/sections.hpp framing, little-endian):
 //   magic   "REMDELT1"                      8 bytes
 //   version u32 (currently 2)
 //   count   u32 number of sections

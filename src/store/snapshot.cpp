@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
+#include "store/sections.hpp"
 #include "util/binary_io.hpp"
 #include "util/file.hpp"
 #include "util/fmt.hpp"
@@ -139,82 +140,35 @@ core::RadioEnvironmentMap read_rem(util::BinaryReader& r) {
   return rem;
 }
 
-void write_section(util::BinaryWriter& out, SectionId id, const util::BinaryWriter& payload) {
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(payload.size());
-  out.u32(util::crc32(payload.buffer()));
-  out.bytes(payload.buffer().data(), payload.size());
-}
-
 }  // namespace
 
 void save_snapshot(std::ostream& out, const Snapshot& snapshot) {
   REMGEN_SCOPE("store.save");
-  util::BinaryWriter w;
-  w.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
-  w.u32(kSnapshotVersion);
-
-  std::uint32_t sections = 1;
-  if (snapshot.rem.has_value()) ++sections;
-  if (snapshot.model != nullptr) ++sections;
-  w.u32(sections);
-
-  {
-    util::BinaryWriter payload;
-    write_dataset_payload(payload, snapshot.dataset);
-    write_section(w, SectionId::Dataset, payload);
-  }
-  if (snapshot.rem.has_value()) {
-    util::BinaryWriter payload;
-    write_rem(payload, *snapshot.rem);
-    write_section(w, SectionId::Rem, payload);
-  }
+  std::vector<Section> sections;
+  const auto section = [&sections](SectionId id) -> util::BinaryWriter& {
+    return sections.emplace_back(Section{static_cast<std::uint32_t>(id), {}}).payload;
+  };
+  write_dataset_payload(section(SectionId::Dataset), snapshot.dataset);
+  if (snapshot.rem.has_value()) write_rem(section(SectionId::Rem), *snapshot.rem);
   if (snapshot.model != nullptr) {
     const std::optional<ml::ModelKind> kind = snapshot.model->kind();
     if (!kind.has_value()) {
       throw std::runtime_error(util::format("snapshot: model '{}' is not a zoo kind",
                                             snapshot.model->name()));
     }
-    util::BinaryWriter payload;
-    payload.str(ml::model_kind_name(*kind));
-    write_section(w, SectionId::Model, payload);
+    section(SectionId::Model).str(ml::model_kind_name(*kind));
   }
-
-  out.write(w.buffer().data(), static_cast<std::streamsize>(w.size()));
-  if (!out) throw std::runtime_error("snapshot: write failed");
+  const std::size_t bytes =
+      write_sections(out, kSnapshotMagic, kSnapshotVersion, sections, "snapshot");
   REMGEN_COUNTER_ADD("store.snapshot.saves", 1);
-  REMGEN_COUNTER_ADD("store.snapshot.bytes_written", static_cast<std::int64_t>(w.size()));
+  REMGEN_COUNTER_ADD("store.snapshot.bytes_written", static_cast<std::int64_t>(bytes));
 }
 
 Snapshot load_snapshot(std::istream& in) {
   REMGEN_SCOPE("store.load");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  util::BinaryReader r(bytes);
-
-  if (r.remaining() < kSnapshotMagic.size() ||
-      r.view(kSnapshotMagic.size()) != kSnapshotMagic) {
-    throw std::runtime_error("snapshot: bad magic (not a REM snapshot)");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kSnapshotVersion) {
-    throw std::runtime_error(
-        util::format("snapshot: unsupported version {} (expected {})", version, kSnapshotVersion));
-  }
-
   Snapshot snapshot;
   std::optional<ml::ModelKind> kind;
-  const std::uint32_t sections = r.u32();
-  for (std::uint32_t i = 0; i < sections; ++i) {
-    const std::uint32_t id = r.u32();
-    const std::uint64_t size = r.u64();
-    const std::uint32_t crc = r.u32();
-    const std::string_view payload = r.view(size);
-    if (util::crc32(payload) != crc) {
-      throw std::runtime_error(util::format("snapshot: CRC mismatch in section {}", id));
-    }
-    util::BinaryReader section(payload);
+  const auto visit = [&](std::uint32_t id, util::BinaryReader& section) {
     switch (static_cast<SectionId>(id)) {
       case SectionId::Dataset: snapshot.dataset = read_dataset(section); break;
       case SectionId::Rem: snapshot.rem.emplace(read_rem(section)); break;
@@ -228,7 +182,8 @@ Snapshot load_snapshot(std::istream& in) {
       }
       default: break;  // Unknown section from a newer writer: CRC-checked, skipped.
     }
-  }
+  };
+  read_sections(in, kSnapshotMagic, kSnapshotVersion, "snapshot", visit);
   // The model is its kind fitted on the rows; no fitted state is decoded,
   // so nothing in the file reaches a hyperparameter.
   if (kind.has_value()) {
@@ -255,7 +210,7 @@ std::optional<Snapshot> build_snapshot(const data::Dataset& raw, ml::ModelKind k
   data::Dataset prepared = raw.filter_min_samples_per_mac(config.min_samples_per_mac);
   if (prepared.empty()) return std::nullopt;
   // build_rem gates again; on already-gated rows that keeps every row in
-  // order, so the fit input and channel map match build_rem(raw).
+  // order, so the fit input matches build_rem(raw).
   Snapshot snapshot;
   snapshot.model = ml::make_model(kind);
   snapshot.rem.emplace(core::build_rem(prepared, *snapshot.model, volume, config));

@@ -1,13 +1,14 @@
 // Versioned binary snapshot of a REM campaign's durable state.
 //
 // A snapshot bundles what a serving process needs: the preprocessed dataset
-// (with its MAC/channel context), the baked RadioEnvironmentMap voxel grid,
-// and the model. The model is not shipped, only named: a snapshot's model is
-// its zoo kind fitted on its Dataset rows, so the Model section holds the
-// kind name and load_snapshot refits it. Every zoo fit is deterministic, so
-// the loaded model predicts bit-identically to the one that was saved. The
-// on-disk format is endian-safe (explicit little-endian fields), versioned,
-// and integrity-checked: every section carries a CRC-32 so truncation and
+// (whose MACs are the ones the snapshot answers for), the baked
+// RadioEnvironmentMap voxel grid, and the model. The model is not shipped,
+// only named: a snapshot's model is its zoo kind fitted on its Dataset rows,
+// so the Model section holds the kind name and load_snapshot refits it.
+// Every zoo fit is deterministic, so the loaded model predicts
+// bit-identically to the one that was saved. The on-disk format is
+// endian-safe (explicit little-endian fields), versioned, and
+// integrity-checked: every section carries a CRC-32 so truncation and
 // bit-rot fail loudly at load time instead of silently corrupting
 // predictions.
 //
@@ -16,6 +17,7 @@
 //   version u32 (currently 2)
 //   count   u32 number of sections
 //   section u32 id | u64 payload size | u32 crc32(payload) | payload
+// (the framing store/sections.hpp shares with REMDELT1).
 // Section ids: 1 = dataset rows, 2 = REM raster, 3 = model (one
 // length-prefixed string, ml::model_kind_name). Unknown ids are skipped
 // (their CRC is still verified), so older readers tolerate newer writers

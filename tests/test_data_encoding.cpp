@@ -102,18 +102,6 @@ TEST(FeatureEncoder, NormalizedPositionInUnitCube) {
   EXPECT_DOUBLE_EQ(enc.encode(samples[2])[0], 1.0);
 }
 
-TEST(FeatureEncoder, ChannelOneHot) {
-  FeatureConfig config;
-  config.include_channel_onehot = true;
-  const auto samples = three_macs();  // channels 1, 6, 11
-  const FeatureEncoder enc = FeatureEncoder::fit(samples, config);
-  EXPECT_EQ(enc.dimension(), 3u + 3u + 3u);
-  const auto f = enc.encode(samples[0]);
-  double channel_sum = 0.0;
-  for (std::size_t i = 6; i < 9; ++i) channel_sum += f[i];
-  EXPECT_DOUBLE_EQ(channel_sum, 1.0);
-}
-
 TEST(FeatureEncoder, EncodingIndependentOfSampleOrder) {
   auto samples = three_macs();
   const FeatureEncoder enc1 = FeatureEncoder::fit(samples, FeatureConfig{});

@@ -107,14 +107,14 @@ TEST(MlBatch, KnnBatchMatchesScalarAcrossKernelVariants) {
       knn.fit(train);
       expect_batch_matches_scalar(knn, queries, "knn-tree");
     }
-    // Brute path: the one-hot blocks force the linear scan, and each p picks
+    // Brute path: the MAC one-hot block forces the linear scan, and each p picks
     // a different hoisted Minkowski dispatch (L1 / L2 / general).
     for (const double p : {1.0, 2.0, 3.0}) {
       KnnConfig config;
       config.n_neighbors = 5;
       config.weights = weights;
       config.minkowski_p = p;
-      config.features = {.mac_onehot_scale = 3.0, .include_channel_onehot = true};
+      config.features = {.mac_onehot_scale = 3.0};
       KnnRegressor knn(config);
       knn.fit(train);
       expect_batch_matches_scalar(knn, queries, "knn-brute-p" + std::to_string(p));

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -174,7 +175,6 @@ TEST_F(ServeEngineTest, PointQueryBitIdenticalToInProcessPredict) {
 
     data::Sample q;
     q.mac = *request.mac;
-    q.channel = i % 2 == 0 ? 6 : 11;  // The MAC's channel in the dataset.
     q.position = p;
     const double expected = reference.model->predict(q);
     EXPECT_EQ(bits(response.body.at("rss_dbm").as_double()), bits(expected));
@@ -559,6 +559,76 @@ TEST_F(ServeEngineTest, NonFiniteReplyIsARequestError) {
   EXPECT_TRUE(coalesced[1].ok);
   EXPECT_EQ(coalesced[1].to_jsonl(), engine.execute(good).to_jsonl());
 }
+
+// --- Served answers are raster cells ------------------------------------
+
+class ServedPointEqualsRasterCell : public ::testing::TestWithParam<ml::ModelKind> {};
+
+/// Rows where each MAC's samples span two channels, and the MAC's latest
+/// channel is not its most frequent one.
+data::Dataset two_channel_dataset() {
+  util::Rng rng(33);
+  data::Dataset ds;
+  constexpr std::size_t kPerMac = 40;
+  for (std::size_t i = 0; i < kPerMac; ++i) {
+    const double x = rng.uniform(0.0, 4.0);
+    const double y = rng.uniform(0.0, 3.0);
+    const double z = rng.uniform(0.0, 2.0);
+    const bool minority = i % 4 == 3;  // Includes the last row, i = 39.
+    ds.add(make_sample(x, y, z, kMacA, -55.0 - 4.0 * x + rng.gaussian(0, 1.0),
+                       minority ? 11 : 6));
+    ds.add(make_sample(x, y, z, kMacB, -75.0 - 2.0 * y + rng.gaussian(0, 1.0),
+                       minority ? 1 : 11));
+  }
+  return ds;
+}
+
+TEST_P(ServedPointEqualsRasterCell, AtEveryVoxelCentre) {
+  core::RemBuilderConfig config;
+  config.voxel_m = 0.5;
+  std::optional<store::Snapshot> built = store::build_snapshot(
+      two_channel_dataset(), GetParam(), geom::Aabb({0, 0, 0}, {4.0, 3.0, 2.0}), config);
+  ASSERT_TRUE(built.has_value());
+  std::stringstream io;
+  store::save_snapshot(io, *built);
+  const QueryEngine engine(store::load_snapshot(io), 1 << 20);
+  const core::RadioEnvironmentMap& rem = *engine.snapshot().rem;
+  const geom::GridGeometry& g = rem.geometry();
+
+  std::vector<Request> requests;
+  std::vector<double> cells;
+  for (const radio::MacAddress& mac : rem.macs()) {
+    for (std::size_t iz = 0; iz < g.nz(); ++iz) {
+      for (std::size_t iy = 0; iy < g.ny(); ++iy) {
+        for (std::size_t ix = 0; ix < g.nx(); ++ix) {
+          Request request;
+          request.id = static_cast<std::int64_t>(requests.size());
+          request.mac = mac;
+          request.points.push_back(g.voxel_center({ix, iy, iz}));
+          requests.push_back(request);
+          cells.push_back(rem.cell(mac, {ix, iy, iz}).rss_dbm);
+        }
+      }
+    }
+  }
+  const std::vector<Response> coalesced = engine.execute_coalesced(requests);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Response response = engine.execute(requests[i]);
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(bits(response.body.at("rss_dbm").as_double()), bits(cells[i])) << "request " << i;
+    EXPECT_EQ(coalesced[i].to_jsonl(), response.to_jsonl());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllZooModels, ServedPointEqualsRasterCell,
+                         ::testing::ValuesIn(ml::all_model_kinds(true)),
+                         [](const auto& info) {
+                           std::string name = ml::model_kind_name(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace remgen::serve

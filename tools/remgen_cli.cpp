@@ -17,7 +17,6 @@
 // `remgen campaign` (or by the library's Dataset::write_csv).
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -34,6 +33,7 @@
 #include "obs/export.hpp"
 #include "obs/scope.hpp"
 #include "radio/scenario.hpp"
+#include "serve/engine.hpp"
 #include "store/snapshot.hpp"
 #include "util/args.hpp"
 #include "util/file.hpp"
@@ -348,32 +348,31 @@ int cmd_query(const util::Args& args) {
     return 2;
   }
   const geom::Vec3 point{(*at)[0], (*at)[1], (*at)[2]};
-  const auto model = ml::make_model(model_by_name(args.value("model", "knn-onehot-x3-k16")));
-  const data::Dataset prepared = ds.filter_min_samples_per_mac(
+  const ml::ModelKind kind = model_by_name(args.value("model", "knn-onehot-x3-k16"));
+  // The served answer, in process: the gated rows and their fitted model in
+  // a snapshot without a REM, ranked by the engine's best-AP point query.
+  store::Snapshot snapshot;
+  snapshot.dataset = ds.filter_min_samples_per_mac(
       static_cast<std::size_t>(args.value_int("min-samples", 16)));
-  if (prepared.empty()) {
+  if (snapshot.dataset.empty()) {
     std::fprintf(stderr, "no samples survive the min-samples rule\n");
     return 1;
   }
-  model->fit(prepared.samples());
-
-  // Predict every MAC at the point and print the strongest first.
-  std::map<radio::MacAddress, int> channel_of;
-  for (const data::Sample& s : prepared.samples()) channel_of[s.mac] = s.channel;
-  std::vector<std::pair<double, radio::MacAddress>> predictions;
-  for (const auto& [mac, channel] : channel_of) {
-    data::Sample query;
-    query.mac = mac;
-    query.channel = channel;
-    query.position = point;
-    predictions.emplace_back(model->predict(query), mac);
+  snapshot.model = ml::make_model(kind);
+  snapshot.model->fit(snapshot.dataset.samples());
+  const serve::QueryEngine engine(std::move(snapshot), /*cache_bytes=*/0);
+  serve::Request request;
+  request.points = {point};
+  request.top = static_cast<std::size_t>(args.value_int("top", 5));
+  const serve::Response response = engine.execute(request);
+  if (!response.ok) {
+    std::fprintf(stderr, "error: %s\n", response.error.c_str());
+    return 1;
   }
-  std::sort(predictions.rbegin(), predictions.rend());
-  const auto top = static_cast<std::size_t>(args.value_int("top", 5));
   std::printf("predicted RSS at %s:\n", point.to_string().c_str());
-  for (std::size_t i = 0; i < std::min(top, predictions.size()); ++i) {
-    std::printf("  %s  %7.1f dBm\n", predictions[i].second.to_string().c_str(),
-                predictions[i].first);
+  for (const obs::Json& best : response.body.at("best").as_array()) {
+    std::printf("  %s  %7.1f dBm\n", best.at("mac").as_string().c_str(),
+                best.at("rss_dbm").as_double());
   }
   return 0;
 }

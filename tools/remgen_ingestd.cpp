@@ -48,6 +48,7 @@
 #include "net/server.hpp"
 #include "obs/export.hpp"
 #include "util/args.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -104,17 +105,6 @@ ml::ModelKind model_by_name(const std::string& name) {
   }
   std::fprintf(stderr, "\n");
   std::exit(2);
-}
-
-bool write_port_file(const std::string& path, std::uint16_t port) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write port file '%s'\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "%u\n", static_cast<unsigned>(port));
-  std::fclose(f);
-  return true;
 }
 
 void print_epoch(const ingest::EpochInfo& info) {
@@ -233,12 +223,12 @@ int main(int argc, char** argv) {
     std::uint16_t bound = 0;
     try {
       bound = server.bind_and_listen();  // Drains the pre-bind epoch publish.
+      if (const std::string path = args->value("port-file"); !path.empty()) {
+        util::write_file(path, std::to_string(bound) + "\n");
+      }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
-    }
-    if (const std::string port_file = args->value("port-file"); !port_file.empty()) {
-      if (!write_port_file(port_file, bound)) return 1;
     }
     std::printf("listening on %s:%u (map '%s', epoch %llu)\n",
                 server_config.bind_address.c_str(), static_cast<unsigned>(bound),

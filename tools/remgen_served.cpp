@@ -33,6 +33,7 @@
 #include "serve/engine.hpp"
 #include "store/snapshot.hpp"
 #include "util/args.hpp"
+#include "util/file.hpp"
 #include "util/log.hpp"
 
 namespace {
@@ -73,17 +74,6 @@ net::Server* g_server = nullptr;
 
 void handle_signal(int) {
   if (g_server != nullptr) g_server->request_shutdown();
-}
-
-bool write_port_file(const std::string& path, std::uint16_t port) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write port file '%s'\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "%u\n", static_cast<unsigned>(port));
-  std::fclose(f);
-  return true;
 }
 
 /// Reports dropped spans / task events on stderr so a truncated trace is
@@ -193,16 +183,15 @@ int main(int argc, char** argv) {
   std::uint16_t bound = 0;
   try {
     bound = server.bind_and_listen();
+    if (const std::string path = args->value("port-file"); !path.empty()) {
+      util::write_file(path, std::to_string(bound) + "\n");
+    }
+    if (const std::string path = args->value("http-port-file"); !path.empty()) {
+      util::write_file(path, std::to_string(server.http_port()) + "\n");
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
-  }
-  if (const std::string port_file = args->value("port-file"); !port_file.empty()) {
-    if (!write_port_file(port_file, bound)) return 1;
-  }
-  if (const std::string http_port_file = args->value("http-port-file");
-      !http_port_file.empty()) {
-    if (!write_port_file(http_port_file, server.http_port())) return 1;
   }
   std::printf("listening on %s:%u\n", config.bind_address.c_str(), static_cast<unsigned>(bound));
   if (server.http_port() != 0) {
